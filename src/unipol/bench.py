@@ -60,10 +60,8 @@ def worker_count(n_tasks: int) -> int:
     return max(1, min(configured, n_tasks))
 
 
-def _one_trial(algo: str, n: int, seed: int, iters: int, tol: float, fast: bool) -> BenchRow:
-    cfg = SolverConfig(
-        n=n, max_iterations=iters, rel_tolerance=tol, seed=seed, fast_path=fast
-    )
+def _one_trial(algo: str, n: int, seed: int, iters: int, tol: float) -> BenchRow:
+    cfg = SolverConfig(n=n, max_iterations=iters, rel_tolerance=tol, seed=seed)
     trace = _RUNNERS[algo](cfg)
     return BenchRow(
         algo=algo,
@@ -82,9 +80,10 @@ def run_bench(
     iters: int,
     base_seed: int = 0,
     tol: float = 0.0,
-    fast: bool = True,
 ) -> list[BenchRow]:
     """Run the full (algo, N, trial) matrix and return rows in deterministic order."""
+    if not algos:
+        raise ValueError("empty algorithm list")
     for algo in algos:
         if algo not in _RUNNERS:
             raise ValueError(f"unknown algorithm {algo!r}; choose from {sorted(_RUNNERS)}")
@@ -101,9 +100,9 @@ def run_bench(
     ]
     workers = worker_count(len(tasks))
     if workers == 1:
-        return [_one_trial(a, n, s, iters, tol, fast) for a, n, s in tasks]
+        return [_one_trial(a, n, s, iters, tol) for a, n, s in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_one_trial, a, n, s, iters, tol, fast) for a, n, s in tasks]
+        futures = [pool.submit(_one_trial, a, n, s, iters, tol) for a, n, s in tasks]
         return [f.result() for f in futures]
 
 

@@ -51,11 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     design.add_argument("--tol", type=float, default=0.0)
     design.add_argument("--seed", type=int, default=0)
     design.add_argument("--phase-range", choices=PHASE_RANGES, default="full")
-    design.add_argument(
-        "--direct",
-        action="store_true",
-        help="use the O(N^2) per-variable path instead of the transform fast path",
-    )
     design.add_argument("-o", "--output", help="run record JSON path (default: stdout)")
     design.add_argument(
         "--seq-out",
@@ -85,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--iters", type=int, default=1000)
     bench.add_argument("--tol", type=float, default=0.0)
     bench.add_argument("--seed", type=int, default=0, help="base seed; trial i uses seed+i")
-    bench.add_argument("--direct", action="store_true")
     bench.add_argument("-o", "--output", help="CSV path (default: stdout)")
     bench.set_defaults(func=cmd_bench)
 
@@ -100,7 +94,6 @@ def cmd_design(args) -> int:
             rel_tolerance=args.tol,
             seed=args.seed,
             phase_range=args.phase_range,
-            fast_path=not args.direct,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -183,7 +176,6 @@ def cmd_bench(args) -> int:
             iters=args.iters,
             base_seed=args.seed,
             tol=args.tol,
-            fast=not args.direct,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -61,10 +61,14 @@ def read_sequence_file(path) -> UnimodularSequence:
     """Parse a CSV phase table back into a sequence.
 
     Raises SequenceFileError with the offending row/column on any malformed
-    content, including re/im entries inconsistent with the phase.
+    content, including non-UTF-8 bytes, non-finite cells and re/im entries
+    inconsistent with the phase.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [line.strip() for line in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = [line.strip() for line in fh]
+    except UnicodeDecodeError as exc:
+        raise SequenceFileError(f"not UTF-8 text: {exc.reason}") from None
     rows = [line for line in raw if line]
     if not rows or rows[0] != _HEADER:
         raise SequenceFileError(f"row 1: expected header {_HEADER!r}")
@@ -81,11 +85,14 @@ def read_sequence_file(path) -> UnimodularSequence:
         values = []
         for colnum, text in enumerate(parts[1:], start=2):
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
+                value = math.nan  # reported with the non-finite cells below
+            if not math.isfinite(value):
                 raise SequenceFileError(
-                    f"row {rownum}, column {colnum}: not a number: {text!r}"
-                ) from None
+                    f"row {rownum}, column {colnum}: not a finite number: {text!r}"
+                )
+            values.append(value)
         theta, re, im = values
         if idx != rownum - 2:
             raise SequenceFileError(f"row {rownum}, column 1: index {idx}, expected {rownum - 2}")

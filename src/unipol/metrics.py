@@ -56,7 +56,7 @@ class UnimodularSequence:
         if arr.size == 0:
             raise ValueError("a unimodular sequence needs at least one element")
         dev = float(np.max(np.abs(np.abs(arr) - 1.0)))
-        if dev > UNIT_MODULUS_TOL:
+        if not dev <= UNIT_MODULUS_TOL:  # also rejects NaN elements
             raise ValueError(f"element modulus deviates from 1 by {dev:.3e}")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)

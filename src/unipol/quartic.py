@@ -10,9 +10,10 @@ with p4 = 2*aI + bI, p3 = -8*aR - 2*bR, p2 = -12*aI, p1 = 8*aR - 2*bR,
 p0 = 2*aI - bI. The substitution cannot represent theta = pi, so the
 minimizer always evaluates that candidate explicitly.
 
-Roots come from companion-matrix eigenvalues on the deflated, monic
-polynomial, then two Newton refinement passes; closed forms handle the
-degree <= 2 degenerations.
+Every row takes one root route: leading coefficients are deflated to the
+row's effective degree (4, 3, 2 or 1), the real eigenvalues of the companion
+matrix of that monic polynomial are kept, and two Newton passes against the
+full quartic refine them.
 """
 
 from __future__ import annotations
@@ -45,16 +46,7 @@ class IdenticallyZeroError(ValueError):
 
 def quartic_coeffs(a: complex, b: complex) -> np.ndarray:
     """Stationarity-polynomial coefficients [p4, p3, p2, p1, p0] for one (a, b)."""
-    a, b = complex(a), complex(b)
-    return np.array(
-        [
-            2.0 * a.imag + b.imag,
-            -8.0 * a.real - 2.0 * b.real,
-            -12.0 * a.imag,
-            8.0 * a.real - 2.0 * b.real,
-            2.0 * a.imag - b.imag,
-        ]
-    )
+    return quartic_coeffs_batch([a], [b])[0]
 
 
 def quartic_coeffs_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,8 +101,8 @@ def _real_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     """Real roots of each quartic row, NaN-padded to shape (M, 4).
 
     Leading coefficients are deflated at LEADING_DEFLATION_RTOL relative to
-    the row maximum, so cubic/quadratic/linear degenerations are solved at
-    their effective degree. Identically-zero rows yield an all-NaN row.
+    the row maximum, and each effective degree 4, 3, 2 and 1 goes through the
+    same companion route. Identically-zero rows yield an all-NaN row.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     m = coeffs.shape[0]
@@ -125,25 +117,10 @@ def _real_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     first = np.argmax(significant, axis=1)
     degree = np.where(has_any, 4 - first, -1)
 
-    for d in (4, 3):
+    for d in (4, 3, 2, 1):
         rows = np.flatnonzero(degree == d)
         if rows.size:
-            sub = coeffs[np.ix_(rows, np.arange(4 - d, 5))]
-            out[rows, :d] = _companion_real_roots(sub)
-
-    rows = np.flatnonzero(degree == 2)
-    if rows.size:
-        c2, c1, c0 = coeffs[rows, 2], coeffs[rows, 3], coeffs[rows, 4]
-        disc = c1 * c1 - 4.0 * c2 * c0
-        ok = disc >= 0.0
-        sd = np.sqrt(np.where(ok, disc, 0.0))
-        with np.errstate(invalid="ignore"):
-            out[rows, 0] = np.where(ok, (-c1 + sd) / (2.0 * c2), np.nan)
-            out[rows, 1] = np.where(ok, (-c1 - sd) / (2.0 * c2), np.nan)
-
-    rows = np.flatnonzero(degree == 1)
-    if rows.size:
-        out[rows, 0] = -coeffs[rows, 4] / coeffs[rows, 3]
+            out[rows, :d] = _companion_real_roots(coeffs[rows, 4 - d :])
 
     # degree 0: a nonzero constant has no roots; degree -1 is the caller's
     # identically-zero case. Both leave the row all-NaN.

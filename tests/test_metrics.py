@@ -39,6 +39,11 @@ class TestUnimodularSequence:
         with pytest.raises(ValueError, match="modulus"):
             UnimodularSequence(np.array([1.0, 0.5 + 0.5j]))
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, np.nan), np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="modulus"):
+            UnimodularSequence(np.array([1.0, bad]))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             UnimodularSequence(np.array([], dtype=complex))

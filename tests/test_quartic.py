@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from unipol.quartic import (
+    _TIE_GAP,
     IdenticallyZeroError,
+    _real_roots_batch,
     minimize_batch,
     minimize_single,
     quartic_coeffs,
+    quartic_coeffs_batch,
     solve_quartic_real,
 )
 
@@ -154,3 +157,82 @@ class TestMinimizeBatch:
         theta = minimize_batch(a, b, fallback_phases=np.array([2.5, 2.5]))
         assert theta[0] == 2.5
         assert theta[1] == pytest.approx(np.pi / 2, abs=1e-12)
+
+
+class TestSingleRootRouteAdversarial:
+    """Rows whose stationarity polynomial loses its leading terms, checked on a
+    dense theta grid. Every effective degree takes the same companion route."""
+
+    GRID = np.linspace(0.0, 2 * np.pi, 200_001)[:-1]
+    CHUNK = 16  # rows per grid evaluation; bounds the (rows, grid) temporaries
+
+    def assert_grid_optimal(self, a, b):
+        theta = minimize_batch(a, b)
+        assert np.all((theta >= 0.0) & (theta < 2 * np.pi))
+        got = objective(a, b, theta)
+        cos_t, sin_t = np.cos(self.GRID), np.sin(self.GRID)
+        cos_2t, sin_2t = np.cos(2 * self.GRID), np.sin(2 * self.GRID)
+        for lo in range(0, a.size, self.CHUNK):
+            ca, cb = a[lo : lo + self.CHUNK, None], b[lo : lo + self.CHUNK, None]
+            f = ca.real * cos_2t - ca.imag * sin_2t - cb.real * cos_t + cb.imag * sin_t
+            scale = np.abs(ca[:, 0]) + np.abs(cb[:, 0])
+            excess = got[lo : lo + self.CHUNK] - f.min(axis=1)
+            # candidates within the absolute tie gap go to the smaller theta
+            assert np.all(excess <= _TIE_GAP + 1e-13 * scale), (lo, float(np.max(excess)))
+
+    @staticmethod
+    def degree_two_rows(rng, m):
+        # 2*aI + bI = 0 and 8*aR + 2*bR = 0 hold exactly: b = -4*aR - 2j*aI
+        a = rng.normal(size=m) + 1j * rng.normal(size=m)
+        return a, -4.0 * a.real - 2j * a.imag
+
+    @staticmethod
+    def degree_one_rows(rng, m):
+        # aI = bI = 0 and bR = -4*aR: only p1 = 16*aR survives
+        a = rng.normal(size=m) + 0j
+        return a, -4.0 * a
+
+    def test_exact_degree_two(self):
+        a, b = self.degree_two_rows(np.random.default_rng(40), 300)
+        coeffs = quartic_coeffs_batch(a, b)
+        assert np.all(coeffs[:, :2] == 0.0) and np.all(coeffs[:, 2] != 0.0)
+        self.assert_grid_optimal(a, b)
+
+    def test_exact_degree_one(self):
+        a, b = self.degree_one_rows(np.random.default_rng(41), 300)
+        coeffs = quartic_coeffs_batch(a, b)
+        assert np.all(coeffs[:, [0, 1, 2, 4]] == 0.0) and np.all(coeffs[:, 3] != 0.0)
+        self.assert_grid_optimal(a, b)
+        roots = _real_roots_batch(coeffs)
+        assert np.array_equal(roots[:, 0], np.zeros(300))
+        assert np.all(np.isnan(roots[:, 1:]))
+
+    @pytest.mark.parametrize("build", ["degree_two_rows", "degree_one_rows"])
+    def test_perturbed_degenerations(self, build):
+        rng = np.random.default_rng(42)
+        a, b = getattr(self, build)(rng, 400)
+        eps = 10.0 ** rng.uniform(-14, -6, size=a.size)
+        kick = rng.normal(size=(4, a.size))
+        a = a + eps * (kick[0] + 1j * kick[1])
+        b = b + eps * (kick[2] + 1j * kick[3])
+        self.assert_grid_optimal(a, b)
+
+    def test_magnitude_ratio_sweep(self):
+        rng = np.random.default_rng(43)
+        ratio = np.repeat(10.0 ** np.arange(-12, 13), 12)
+        a = ratio * np.exp(2j * np.pi * rng.random(ratio.size))
+        b = np.exp(2j * np.pi * rng.random(ratio.size))
+        self.assert_grid_optimal(a, b)
+        self.assert_grid_optimal(b, a)  # the same ratios with the roles swapped
+
+    def test_mixed_degrees_in_one_batch(self):
+        rng = np.random.default_rng(44)
+        pieces = [self.degree_two_rows(rng, 20), self.degree_one_rows(rng, 20),
+                  (rng.normal(size=20) + 1j * rng.normal(size=20),
+                   rng.normal(size=20) + 1j * rng.normal(size=20))]
+        a = np.concatenate([p[0] for p in pieces])
+        b = np.concatenate([p[1] for p in pieces])
+        batch = minimize_batch(a, b)
+        singles = np.array([minimize_single(ai, bi) for ai, bi in zip(a, b)])
+        assert np.array_equal(batch, singles)
+        self.assert_grid_optimal(a, b)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unipol.metrics import UnimodularSequence, isl_quartic, isl_time
-from unipol.solver import SolverConfig, init_random, run, unipol_step
+from unipol.solver import SolverConfig, _run_loop, init_random, run, unipol_step
 from unipol.surrogate import alpha_direct, surrogate_value
 
 
@@ -14,7 +14,6 @@ class TestSolverConfig:
         assert cfg.max_iterations == 1000
         assert cfg.rel_tolerance == 0.0
         assert cfg.phase_range == "full"
-        assert cfg.fast_path
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -24,6 +23,8 @@ class TestSolverConfig:
             dict(n=5, rel_tolerance=-1e-3),
             dict(n=5, phase_range="narrow"),
             dict(n=5, seed=-1),
+            dict(n=5, rel_tolerance=float("nan")),
+            dict(n=5, rel_tolerance=float("inf")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -148,8 +149,9 @@ class TestRun:
 
     def test_fast_direct_trace_equivalence(self):
         for n in (16, 64, 128):
-            fast = run(SolverConfig(n=n, max_iterations=15, seed=n, fast_path=True))
-            direct = run(SolverConfig(n=n, max_iterations=15, seed=n, fast_path=False))
+            cfg = SolverConfig(n=n, max_iterations=15, seed=n)
+            fast = run(cfg)
+            direct = _run_loop(lambda x: unipol_step(x, fast_path=False), cfg, None)
             a, b = fast.isl_per_iteration, direct.isl_per_iteration
             assert np.max(np.abs(a - b) / np.maximum(1.0, a)) <= 1e-6
 
