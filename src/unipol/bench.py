@@ -98,10 +98,7 @@ def run_bench(
         for n in lengths
         for trial in range(runs)
     ]
-    workers = worker_count(len(tasks))
-    if workers == 1:
-        return [_one_trial(a, n, s, iters, tol) for a, n, s in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=worker_count(len(tasks))) as pool:
         futures = [pool.submit(_one_trial, a, n, s, iters, tol) for a, n, s in tasks]
         return [f.result() for f in futures]
 

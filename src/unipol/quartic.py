@@ -12,8 +12,9 @@ minimizer always evaluates that candidate explicitly.
 
 Every row takes one root route: leading coefficients are deflated to the
 row's effective degree (4, 3, 2 or 1), the real eigenvalues of the companion
-matrix of that monic polynomial are kept, and two Newton passes against the
-full quartic refine them.
+matrix of that monic polynomial are kept, two Newton passes against the full
+quartic refine them, and one residual gate, the same for every caller, drops
+what is not a root.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ LEADING_DEFLATION_RTOL = 1e-12
 # polishing plus the residual gate clean up what the loose filter lets through.
 _IMAG_RTOL = 1e-6
 
-# Candidates within this objective gap of the best tie-break to the smallest theta.
+# Objective gap, times min(1, |a| + |b|), within which the smallest theta wins a tie.
 _TIE_GAP = 1e-12
 
 
@@ -75,7 +76,7 @@ def _polish(coeffs: np.ndarray, roots: np.ndarray, passes: int = 2) -> np.ndarra
         der = ((4.0 * c4 * b + 3.0 * c3) * b + 2.0 * c2) * b + c1
         with np.errstate(invalid="ignore", divide="ignore"):
             step = np.where(np.abs(der) > 0.0, val / der, 0.0)
-        b = b - np.nan_to_num(step, nan=0.0, posinf=0.0, neginf=0.0) * ~np.isnan(b)
+        b = b - np.nan_to_num(step, nan=0.0, posinf=0.0, neginf=0.0)
     return b
 
 
@@ -102,7 +103,9 @@ def _real_roots_batch(coeffs: np.ndarray) -> np.ndarray:
 
     Leading coefficients are deflated at LEADING_DEFLATION_RTOL relative to
     the row maximum, and each effective degree 4, 3, 2 and 1 goes through the
-    same companion route. Identically-zero rows yield an all-NaN row.
+    same companion route. Polished roots that miss the residual gate
+    |p(beta)| <= 1e-9 * (1 + row max|p_i|) * (1 + |beta|)^4 become NaN, as
+    does every slot of an identically-zero row.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     m = coeffs.shape[0]
@@ -124,12 +127,11 @@ def _real_roots_batch(coeffs: np.ndarray) -> np.ndarray:
 
     # degree 0: a nonzero constant has no roots; degree -1 is the caller's
     # identically-zero case. Both leave the row all-NaN.
-    return _polish(coeffs, out)
-
-
-def _residual_bound(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Acceptance bound 1e-9 * (1 + max|p_i|) * (1 + |beta|)^4 per root."""
-    return 1e-9 * (1.0 + np.max(np.abs(coeffs))) * (1.0 + np.abs(roots)) ** 4
+    roots = _polish(coeffs, out)
+    c4, c3, c2, c1, c0 = (coeffs[:, i : i + 1] for i in range(5))
+    residual = np.abs((((c4 * roots + c3) * roots + c2) * roots + c1) * roots + c0)
+    bound = 1e-9 * (1.0 + scale[:, None]) * (1.0 + np.abs(roots)) ** 4
+    return np.where(residual <= bound, roots, np.nan)
 
 
 def solve_quartic_real(coeffs) -> np.ndarray:
@@ -159,11 +161,7 @@ def solve_quartic_real(coeffs) -> np.ndarray:
         raise IdenticallyZeroError("all coefficients are zero")
 
     roots = _real_roots_batch(c[None, :])[0]
-    roots = roots[~np.isnan(roots)]
-    if roots.size == 0:
-        return roots
-    residual = np.abs(np.polyval(c, roots))
-    roots = np.sort(roots[residual <= _residual_bound(c, roots)])
+    roots = np.sort(roots[~np.isnan(roots)])
     if roots.size == 0:
         return roots
     keep = np.concatenate(([True], np.diff(roots) > 1e-8 * (1.0 + np.abs(roots[1:]))))
@@ -180,30 +178,31 @@ def _objective(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def minimize_batch(a, b, fallback_phases=None) -> np.ndarray:
     """Global minimizers of Re(a_q e^{2j theta} - b_q e^{j theta}) on [0, 2*pi), per row.
 
-    Candidates are theta = 2*arctan(beta) over the real stationarity-quartic
-    roots plus the mandatory theta = pi; ties within 1e-12 objective go to the
-    smallest theta. Rows whose quartic vanishes identically (a = b = 0, the
-    objective is constant) return fallback_phases there, or 0.0 if not given.
-    Fixed candidate ordering makes the result deterministic.
+    Candidates are theta = 2*arctan(beta) over the gated roots of
+    _real_roots_batch plus the mandatory theta = pi; ties within
+    1e-12 * min(1, |a| + |b|) objective go to the smallest theta. Rows with
+    every quartic coefficient <= 1e-12 * max(1, |a| + |b|) count as constant
+    (the floor of 1 absorbs the N = 1 FFT residue, |a| + |b| ~ 1e-15) and
+    return fallback_phases there, or 0.0 if not given.
     """
     a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
     b = np.atleast_1d(np.asarray(b, dtype=np.complex128))
     coeffs = quartic_coeffs_batch(a, b)
 
-    scale = np.maximum(1.0, np.abs(a) + np.abs(b))
-    degenerate = np.max(np.abs(coeffs), axis=1) <= LEADING_DEFLATION_RTOL * scale
+    scale = np.abs(a) + np.abs(b)
+    degenerate = np.max(np.abs(coeffs), axis=1) <= LEADING_DEFLATION_RTOL * np.maximum(1.0, scale)
 
     roots = _real_roots_batch(coeffs)
     thetas = np.mod(2.0 * np.arctan(roots), 2.0 * np.pi)
+    thetas[thetas == 2.0 * np.pi] = 0.0  # mod rounds a tiny negative angle up to 2*pi
     thetas = np.concatenate([thetas, np.full((len(a), 1), np.pi)], axis=1)
-    thetas = np.sort(thetas, axis=1)  # NaN (missing) slots sort to the end
 
     with np.errstate(invalid="ignore"):
         f = _objective(a, b, thetas)
     f = np.where(np.isnan(f), np.inf, f)
-    best = np.min(f, axis=1)
-    pick = np.argmax(f <= best[:, None] + _TIE_GAP, axis=1)
-    theta = thetas[np.arange(len(a)), pick]
+    best = np.min(f, axis=1, keepdims=True)
+    tied = f <= best + _TIE_GAP * np.minimum(1.0, scale)[:, None]
+    theta = np.min(np.where(tied, thetas, np.inf), axis=1)
 
     if np.any(degenerate):
         if fallback_phases is None:

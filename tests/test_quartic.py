@@ -90,6 +90,25 @@ class TestSolveQuarticReal:
         assert checked > 10_000  # the sample actually exercised the property
 
 
+class TestRootGate:
+    def test_every_finite_root_meets_its_row_bound(self):
+        # (beta - r)^2 (beta^2 + e) puts a complex pair next to a double real
+        # root, inside the loose _IMAG_RTOL filter; uniform rows share the batch
+        rng = np.random.default_rng(50)
+        r = rng.uniform(-5, 5, size=3000)
+        e = 10.0 ** rng.uniform(-16, -6, size=r.size)
+        near_double = [np.polymul(np.polymul([1, -ri], [1, -ri]), [1, 0, ei]) for ri, ei in zip(r, e)]
+        coeffs = np.vstack([near_double, rng.uniform(-10, 10, size=(3000, 5))])
+        roots = _real_roots_batch(coeffs)
+        c4, c3, c2, c1, c0 = (coeffs[:, i : i + 1] for i in range(5))
+        residual = np.abs((((c4 * roots + c3) * roots + c2) * roots + c1) * roots + c0)
+        row_max = np.max(np.abs(coeffs), axis=1, keepdims=True)
+        bound = 1e-9 * (1 + row_max) * (1 + np.abs(roots)) ** 4
+        finite = ~np.isnan(roots)
+        assert np.count_nonzero(finite) > 3000  # the gate still keeps real roots
+        assert np.all(residual[finite] <= bound[finite]), int(np.sum(finite & ~(residual <= bound)))
+
+
 class TestMinimizeSingle:
     def test_positive_real_b(self):
         assert minimize_single(0, 2) == pytest.approx(0.0, abs=1e-12)
@@ -166,19 +185,25 @@ class TestSingleRootRouteAdversarial:
     GRID = np.linspace(0.0, 2 * np.pi, 200_001)[:-1]
     CHUNK = 16  # rows per grid evaluation; bounds the (rows, grid) temporaries
 
-    def assert_grid_optimal(self, a, b):
+    def grid_excess(self, a, b):
+        """Objective at minimize_batch's theta minus the grid minimum, per row."""
         theta = minimize_batch(a, b)
         assert np.all((theta >= 0.0) & (theta < 2 * np.pi))
         got = objective(a, b, theta)
         cos_t, sin_t = np.cos(self.GRID), np.sin(self.GRID)
         cos_2t, sin_2t = np.cos(2 * self.GRID), np.sin(2 * self.GRID)
+        grid_best = np.empty(a.size)
         for lo in range(0, a.size, self.CHUNK):
             ca, cb = a[lo : lo + self.CHUNK, None], b[lo : lo + self.CHUNK, None]
             f = ca.real * cos_2t - ca.imag * sin_2t - cb.real * cos_t + cb.imag * sin_t
-            scale = np.abs(ca[:, 0]) + np.abs(cb[:, 0])
-            excess = got[lo : lo + self.CHUNK] - f.min(axis=1)
-            # candidates within the absolute tie gap go to the smaller theta
-            assert np.all(excess <= _TIE_GAP + 1e-13 * scale), (lo, float(np.max(excess)))
+            grid_best[lo : lo + self.CHUNK] = f.min(axis=1)
+        return got - grid_best
+
+    def assert_grid_optimal(self, a, b):
+        excess = self.grid_excess(a, b)
+        scale = np.abs(a) + np.abs(b)
+        # candidates within the tie gap (at most _TIE_GAP) go to the smaller theta
+        assert np.all(excess <= _TIE_GAP + 1e-13 * scale), float(np.max(excess))
 
     @staticmethod
     def degree_two_rows(rng, m):
@@ -216,6 +241,22 @@ class TestSingleRootRouteAdversarial:
         a = a + eps * (kick[0] + 1j * kick[1])
         b = b + eps * (kick[2] + 1j * kick[3])
         self.assert_grid_optimal(a, b)
+
+    @pytest.mark.parametrize("build", ["degree_two_rows", "degree_one_rows"])
+    def test_perturbed_degenerations_below_unit_scale(self, build):
+        # the tie gap shrinks with |a| + |b| below 1, so a small row never
+        # trades a better stationary root for theta = pi
+        rng = np.random.default_rng(45)
+        a, b = getattr(self, build)(rng, 400)
+        eps = 10.0 ** rng.uniform(-14, -6, size=a.size)
+        kick = rng.normal(size=(4, a.size))
+        a = a + eps * (kick[0] + 1j * kick[1])
+        b = b + eps * (kick[2] + 1j * kick[3])
+        shrink = 10.0 ** rng.uniform(-9, -1, size=a.size)
+        a, b = shrink * a, shrink * b
+        scale = np.abs(a) + np.abs(b)
+        rel = self.grid_excess(a, b) / scale
+        assert np.all(rel <= _TIE_GAP + 1e-13), float(np.max(rel))
 
     def test_magnitude_ratio_sweep(self):
         rng = np.random.default_rng(43)
