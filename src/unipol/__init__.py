@@ -22,37 +22,20 @@ from unipol.metrics import (
     sidelobe_db,
     spectrum_2n,
 )
-from unipol.quartic import (
-    IdenticallyZeroError,
-    minimize_batch,
-    minimize_single,
-    quartic_coeffs,
-    solve_quartic_real,
-)
+from unipol.quartic import minimize_batch, minimize_single
 from unipol.solver import RunTrace, SolverConfig, init_random, run, unipol_step
-from unipol.surrogate import (
-    SurrogateCoefficients,
-    ab_all_direct,
-    ab_all_fast,
-    ab_from_alphas,
-    alpha_direct,
-    surrogate_value,
-)
+from unipol.surrogate import ab_all_direct, ab_all_fast, surrogate_value
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BARKER_CODES",
     "FAMILIES",
-    "IdenticallyZeroError",
     "RunTrace",
     "SolverConfig",
-    "SurrogateCoefficients",
     "UnimodularSequence",
     "ab_all_direct",
     "ab_all_fast",
-    "ab_from_alphas",
-    "alpha_direct",
     "autocorrelation",
     "can_run",
     "generate",
@@ -64,10 +47,8 @@ __all__ = [
     "minimize_batch",
     "minimize_single",
     "psl",
-    "quartic_coeffs",
     "run",
     "sidelobe_db",
-    "solve_quartic_real",
     "spectrum_2n",
     "surrogate_value",
     "unipol_step",

@@ -10,11 +10,13 @@ with p4 = 2*aI + bI, p3 = -8*aR - 2*bR, p2 = -12*aI, p1 = 8*aR - 2*bR,
 p0 = 2*aI - bI. The substitution cannot represent theta = pi, so the
 minimizer always evaluates that candidate explicitly.
 
-Every row takes one root route: leading coefficients are deflated to the
-row's effective degree (4, 3, 2 or 1), the real eigenvalues of the companion
+All rows go through one batched root route, `_real_roots_batch`; there is
+no single-row solver. Leading coefficients are deflated to the row's
+effective degree (4, 3, 2 or 1), the real eigenvalues of the companion
 matrix of that monic polynomial are kept, two Newton passes against the full
-quartic refine them, and one residual gate, the same for every caller, drops
-what is not a root.
+quartic refine them, and one residual gate drops what is not a root.
+`minimize_batch` turns the surviving roots plus theta = pi into each row's
+minimizer; `minimize_single` is that batch of one.
 """
 
 from __future__ import annotations
@@ -22,10 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "IdenticallyZeroError",
-    "quartic_coeffs",
     "quartic_coeffs_batch",
-    "solve_quartic_real",
     "minimize_single",
     "minimize_batch",
 ]
@@ -41,17 +40,8 @@ _IMAG_RTOL = 1e-6
 _TIE_GAP = 1e-12
 
 
-class IdenticallyZeroError(ValueError):
-    """Signals the identically-zero polynomial: every theta is stationary."""
-
-
-def quartic_coeffs(a: complex, b: complex) -> np.ndarray:
-    """Stationarity-polynomial coefficients [p4, p3, p2, p1, p0] for one (a, b)."""
-    return quartic_coeffs_batch([a], [b])[0]
-
-
 def quartic_coeffs_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized quartic_coeffs: complex arrays (M,) -> coefficient rows (M, 5)."""
+    """Stationarity-polynomial rows [p4, p3, p2, p1, p0] (M, 5) for complex arrays a, b (M,)."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
@@ -67,11 +57,11 @@ def quartic_coeffs_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _polish(coeffs: np.ndarray, roots: np.ndarray, passes: int = 2) -> np.ndarray:
-    """Newton-refine NaN-padded roots (M, R) against coefficient rows (M, 5)."""
+def _polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Two Newton passes on NaN-padded roots (M, R) against coefficient rows (M, 5)."""
     c4, c3, c2, c1, c0 = (coeffs[:, i : i + 1] for i in range(5))
     b = roots
-    for _ in range(passes):
+    for _ in range(2):
         val = (((c4 * b + c3) * b + c2) * b + c1) * b + c0
         der = ((4.0 * c4 * b + 3.0 * c3) * b + 2.0 * c2) * b + c1
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -125,47 +115,13 @@ def _real_roots_batch(coeffs: np.ndarray) -> np.ndarray:
         if rows.size:
             out[rows, :d] = _companion_real_roots(coeffs[rows, 4 - d :])
 
-    # degree 0: a nonzero constant has no roots; degree -1 is the caller's
-    # identically-zero case. Both leave the row all-NaN.
+    # degree 0: a nonzero constant has no roots; degree -1 is an identically
+    # zero row, which minimize_batch treats as degenerate. Both stay all-NaN.
     roots = _polish(coeffs, out)
     c4, c3, c2, c1, c0 = (coeffs[:, i : i + 1] for i in range(5))
     residual = np.abs((((c4 * roots + c3) * roots + c2) * roots + c1) * roots + c0)
     bound = 1e-9 * (1.0 + scale[:, None]) * (1.0 + np.abs(roots)) ** 4
     return np.where(residual <= bound, roots, np.nan)
-
-
-def solve_quartic_real(coeffs) -> np.ndarray:
-    """Every real root of p4 b^4 + ... + p0, multiplicities collapsed.
-
-    Parameters
-    ----------
-    coeffs : array-like of 5 reals, highest degree first.
-
-    Returns
-    -------
-    Sorted 1-D array of distinct real roots, each meeting the residual bound
-    |p(beta)| <= 1e-9 * (1 + max|p_i|) * (1 + |beta|)^4.
-
-    Raises
-    ------
-    IdenticallyZeroError
-        If all five coefficients are zero (every theta is stationary; callers
-        fall back to direct objective evaluation).
-    """
-    c = np.asarray(coeffs, dtype=float).ravel()
-    if c.size != 5:
-        raise ValueError(f"expected 5 coefficients, got {c.size}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("coefficients must be finite")
-    if np.all(c == 0.0):
-        raise IdenticallyZeroError("all coefficients are zero")
-
-    roots = _real_roots_batch(c[None, :])[0]
-    roots = np.sort(roots[~np.isnan(roots)])
-    if roots.size == 0:
-        return roots
-    keep = np.concatenate(([True], np.diff(roots) > 1e-8 * (1.0 + np.abs(roots[1:]))))
-    return roots[keep]
 
 
 def _objective(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -193,8 +149,11 @@ def minimize_batch(a, b, fallback_phases=None) -> np.ndarray:
     degenerate = np.max(np.abs(coeffs), axis=1) <= LEADING_DEFLATION_RTOL * np.maximum(1.0, scale)
 
     roots = _real_roots_batch(coeffs)
-    thetas = np.mod(2.0 * np.arctan(roots), 2.0 * np.pi)
-    thetas[thetas == 2.0 * np.pi] = 0.0  # mod rounds a tiny negative angle up to 2*pi
+    # Bitwise np.mod(t, 2*pi) for t in [-pi, pi], without np.mod's slow path on
+    # the NaN slots; <= sends -0.0 to +0.0 as np.mod does.
+    thetas = 2.0 * np.arctan(roots)
+    thetas = np.where(thetas <= 0.0, thetas + 2.0 * np.pi, thetas)
+    thetas[thetas == 2.0 * np.pi] = 0.0  # a tiny negative angle (or a zero) rounds up to 2*pi
     thetas = np.concatenate([thetas, np.full((len(a), 1), np.pi)], axis=1)
 
     with np.errstate(invalid="ignore"):

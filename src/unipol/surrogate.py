@@ -7,102 +7,56 @@ variable q is (up to an additive constant) Re(a x^2 - b x) on |x| = 1, with
     a(q) = sum_p 2 conj(alpha_p)^2,
     b(q) = sum_p 4 conj(alpha_p) (1 + |alpha_p|^2),
 
-on the 2N-point grid omega_p = pi p / N. Two routes are provided:
+on the 2N-point grid omega_p = pi p / N. Two routes compute every (a(q), b(q)):
 
-* the direct route (`alpha_direct` + `ab_from_alphas`, or `ab_all_direct`),
-  O(N) per variable, kept as the testing oracle;
-* `ab_all_fast`, which expands the p-sums into a handful of length-2N inverse
-  transforms (the e^{2j omega_p q} terms alias onto a length-N subgrid) and
-  produces every (a(q), b(q)) in O(N log N) total.
+* `ab_all_fast`, the solver's route, expands the p-sums into a handful of
+  length-2N inverse transforms (the e^{2j omega_p q} terms alias onto a
+  length-N subgrid), O(N log N) total;
+* `ab_all_direct` builds every alpha_p(q) and sums over p, O(N^2) total. It is
+  the one testing oracle, and `surrogate_value` builds the same alphas.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from unipol.metrics import as_values
 
 __all__ = [
-    "SurrogateCoefficients",
-    "omega_grid",
-    "alpha_direct",
-    "ab_from_alphas",
     "ab_all_direct",
     "ab_all_fast",
     "surrogate_value",
 ]
 
 
-class SurrogateCoefficients(NamedTuple):
-    """The complex pair (a, b) of the reduced subproblem min Re(a x^2 - b x)."""
-
-    a: complex
-    b: complex
-
-    @property
-    def a_R(self) -> float:
-        return self.a.real
-
-    @property
-    def a_I(self) -> float:
-        return self.a.imag
-
-    @property
-    def b_R(self) -> float:
-        return self.b.real
-
-    @property
-    def b_I(self) -> float:
-        return self.b.imag
+# Variables per block of the O(N^2) direct route; bounds its (rows, 2N) temporaries.
+_CHUNK = 256
 
 
-def omega_grid(n: int) -> np.ndarray:
-    """Frequency grid omega_p = 2*pi*p/(2N) for p = 0..2N-1."""
-    return np.pi * np.arange(2 * n) / n
+def _alphas(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """alpha_p(q) for the variables q (rows) on the 2N-point grid (columns).
+
+    Generally |alpha_p| != 1. Shared by both direct oracles, so they build the
+    same alpha values bit for bit.
+    """
+    n = v.size
+    c = np.fft.fft(v, 2 * n) / n
+    omega = np.pi * np.arange(2 * n) / n
+    return v[q, None] - c[None, :] * np.exp(1j * np.outer(q, omega))
 
 
-def alpha_direct(xt, q: int) -> np.ndarray:
-    """The 2N alpha values for variable q, by direct evaluation.
+def ab_all_direct(xt) -> tuple[np.ndarray, np.ndarray]:
+    """(a(q), b(q)) for every q by the direct p-sums, in blocks of variables.
 
-    alpha_p = xt[q] - (X_p / N) e^{j omega_p q} with X_p the zero-padded
-    2N-point transform of xt. Generally |alpha_p| != 1. This is the oracle
-    route for `ab_all_fast`.
+    O(N^2) total; the testing oracle for ab_all_fast.
     """
     v = as_values(xt)
     n = v.size
-    if not 0 <= q < n:
-        raise ValueError(f"variable index {q} outside 0..{n - 1}")
-    c = np.fft.fft(v, 2 * n) / n
-    return v[q] - c * np.exp(1j * omega_grid(n) * q)
-
-
-def ab_from_alphas(alphas) -> SurrogateCoefficients:
-    """Reduce one alpha set to (a, b); sums run in fixed ascending-p order."""
-    al = np.asarray(alphas, dtype=np.complex128)
-    if al.size == 0:
-        raise ValueError("empty alpha set")
-    ac = np.conj(al)
-    a = 2.0 * np.sum(ac * ac)
-    b = 4.0 * np.sum(ac * (1.0 + np.abs(al) ** 2))
-    return SurrogateCoefficients(complex(a), complex(b))
-
-
-def ab_all_direct(xt, chunk: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """(a(q), b(q)) for every q via the direct route, chunked over q.
-
-    O(N^2) total; arithmetic identical to alpha_direct + ab_from_alphas.
-    """
-    v = as_values(xt)
-    n = v.size
-    c = np.fft.fft(v, 2 * n) / n
-    omega = omega_grid(n)
     a = np.empty(n, dtype=np.complex128)
     b = np.empty(n, dtype=np.complex128)
-    for start in range(0, n, chunk):
-        q = np.arange(start, min(start + chunk, n))
-        alphas = v[q, None] - c[None, :] * np.exp(1j * np.outer(q, omega))
+    for start in range(0, n, _CHUNK):
+        q = np.arange(start, min(start + _CHUNK, n))
+        alphas = _alphas(v, q)
         ac = np.conj(alphas)
         a[q] = 2.0 * np.sum(ac * ac, axis=1)
         b[q] = 4.0 * np.sum(ac * (1.0 + np.abs(alphas) ** 2), axis=1)
@@ -166,9 +120,6 @@ def surrogate_value(x, xt) -> float:
     tv = as_values(xt)
     if xv.size != tv.size:
         raise ValueError(f"length mismatch: {xv.size} vs {tv.size}")
-    n = tv.size
-    c = np.fft.fft(tv, 2 * n) / n
-    phase = np.exp(1j * np.outer(np.arange(n), omega_grid(n)))
-    alphas = tv[:, None] - c[None, :] * phase
+    alphas = _alphas(tv, np.arange(tv.size))
     diff2 = np.abs(xv[:, None] - alphas) ** 2
-    return float(n**3 * np.sum(diff2 * diff2))
+    return float(tv.size**3 * np.sum(diff2 * diff2))

@@ -1,0 +1,50 @@
+"""Public-surface tests: every exported name resolves, and every attribute the
+perfbench span tracer patches exists, so a deletion that would break
+``perfbench/run.py --trace 1`` fails here first."""
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import unipol
+import unipol.bench
+import unipol.cli
+import unipol.io
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+SUBMODULES = sorted(
+    name for _, name, _ in pkgutil.iter_modules(unipol.__path__) if name != "__main__"
+)
+
+
+def test_package_all_resolves():
+    missing = [name for name in unipol.__all__ if not hasattr(unipol, name)]
+    assert not missing, missing
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_all_resolves(name):
+    module = importlib.import_module(f"unipol.{name}")
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing, missing
+
+
+def test_span_tracer_patch_targets_exist():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, unipol)  # getattr on a missing target raises here
+        patched = list(tracer._undo)
+    finally:
+        tracer.uninstall()
+    assert patched
+    for owner, key, original, is_dict in patched:
+        current = owner[key] if is_dict else getattr(owner, key)
+        assert current is original, key

@@ -1,12 +1,20 @@
-"""Derandomized hypothesis properties of the exact minimizer and the MM step."""
+"""Derandomized hypothesis properties of the surrogate, the exact minimizer,
+the MM step and the sequence-file reader."""
+
+import contextlib
+import io
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unipol.cli import main
+from unipol.io import SequenceFileError, read_sequence_file
 from unipol.metrics import UnimodularSequence, isl_time
 from unipol.quartic import _TIE_GAP, minimize_batch
 from unipol.solver import unipol_step
+from unipol.surrogate import ab_all_direct, ab_all_fast
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200, database=None)
 
@@ -54,3 +62,46 @@ def test_unipol_step_never_raises_isl(phases):
     before, after = isl_time(x), isl_time(unipol_step(x))
     # criterion 3's slack
     assert after <= before * (1 + 1e-9) + 1e-9
+
+
+@PROPERTY
+@given(st.lists(phase, min_size=1, max_size=64))
+def test_ab_all_fast_matches_direct_oracle(phases):
+    x = np.exp(1j * np.array(phases))
+    af, bf = ab_all_fast(x)
+    ad, bd = ab_all_direct(x)
+    # criterion 5's bound
+    assert np.all(np.abs(af - ad) <= 1e-8 * np.maximum(1.0, np.abs(ad)))
+    assert np.all(np.abs(bf - bd) <= 1e-8 * np.maximum(1.0, np.abs(bd)))
+
+
+HOSTILE_CELLS = ["", "nan", "NaN", "inf", "-inf", "1e999", "-1e999", "1e-400",
+                 "0x1p-3", "1_0", "\uff11", "\uff10.\uff15", " ", "--1"]
+
+
+@st.composite
+def sequence_files(draw):
+    """Text of a sequence table: valid rows with some cells swapped for hostile
+    ones, under a plain or BOM-prefixed header, joined by LF, CRLF or CR."""
+    rows = []
+    for i, theta in enumerate(draw(st.lists(phase, min_size=1, max_size=4))):
+        cells = [str(i), repr(theta), repr(math.cos(theta)), repr(math.sin(theta))]
+        for col in draw(st.sets(st.integers(0, 3), max_size=2)):
+            cells[col] = draw(st.sampled_from(HOSTILE_CELLS) | st.text(max_size=8))
+        rows.append(",".join(cells))
+    header = draw(st.sampled_from(["index,phase,re,im", "\ufeffindex,phase,re,im"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join([header] + rows) + newline
+
+
+@PROPERTY
+@given(text=sequence_files())
+def test_hostile_sequence_files_fail_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "hostile.seq.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        assert isinstance(read_sequence_file(path), UnimodularSequence)
+    except SequenceFileError:
+        pass
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["metrics", str(path)]) in (0, 1)

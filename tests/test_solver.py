@@ -5,7 +5,7 @@ import pytest
 
 from unipol.metrics import UnimodularSequence, isl_quartic, isl_time
 from unipol.solver import SolverConfig, _run_loop, init_random, run, unipol_step
-from unipol.surrogate import alpha_direct, surrogate_value
+from unipol.surrogate import surrogate_value
 
 
 class TestSolverConfig:
@@ -69,8 +69,9 @@ class TestUnipolStep:
         for _ in range(3):
             xt = UnimodularSequence(np.exp(2j * np.pi * rng.random(2)))
             stepped = unipol_step(xt)
+            c = np.fft.fft(xt.values, 4) / 2
             for q in range(2):
-                alphas = alpha_direct(xt, q)
+                alphas = xt.values[q] - c * np.exp(1j * np.pi * np.arange(4) / 2 * q)
                 diff2 = np.abs(np.exp(1j * grid)[:, None] - alphas[None, :]) ** 2
                 obj = np.sum(diff2 * diff2, axis=1)
                 got = np.sum(

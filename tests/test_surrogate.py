@@ -1,16 +1,10 @@
-"""Surrogate-layer tests: alpha sets, (a, b) reduction, fast path, majorization."""
+"""Surrogate-layer tests: direct oracle, (a, b) reduction, fast path, majorization."""
 
 import numpy as np
 import pytest
 
 from unipol.metrics import UnimodularSequence, isl_quartic
-from unipol.surrogate import (
-    ab_all_direct,
-    ab_all_fast,
-    ab_from_alphas,
-    alpha_direct,
-    surrogate_value,
-)
+from unipol.surrogate import _CHUNK, _alphas, ab_all_direct, ab_all_fast, surrogate_value
 
 
 def random_unimodular(n, rng):
@@ -29,6 +23,13 @@ def alpha_naive(x, q):
     return out
 
 
+def ab_naive(alphas):
+    """The module docstring's p-sums for one alpha set: a = sum 2 conj(al)^2,
+    b = sum 4 conj(al) (1 + |al|^2)."""
+    ac = np.conj(alphas)
+    return 2.0 * np.sum(ac * ac), 4.0 * np.sum(ac * (1.0 + np.abs(alphas) ** 2))
+
+
 def surrogate_naive(x, xt):
     """Literal triple-loop majorizer oracle (keep N tiny)."""
     x = np.asarray(x, dtype=complex)
@@ -44,63 +45,60 @@ def surrogate_naive(x, xt):
 
 
 class TestAlphaDirect:
+    """ab_all_direct against the literal alpha sets, reduced by the p-sums."""
+
     def test_single_element_all_zero(self):
-        alphas = alpha_direct([1.0 + 0j], 0)
-        assert alphas.shape == (2,)
-        assert np.allclose(alphas, 0.0, atol=1e-15)
+        # N = 1: every alpha_p is 0, so a = b = 0
+        a, b = ab_all_direct([1.0 + 0j])
+        assert a.shape == b.shape == (1,)
+        assert abs(a[0]) < 1e-15 and abs(b[0]) < 1e-15
 
     def test_two_element_closed_form(self):
-        # first variable of the all-ones pair: alpha_p = 1 - (1 + e^{-j w_p})/2
-        alphas = alpha_direct([1.0, 1.0], 0)
-        w = np.pi * np.arange(4) / 2
-        expected = 1.0 - (1.0 + np.exp(-1j * w)) / 2.0
-        assert np.allclose(alphas, expected, atol=1e-12)
-        assert abs(alphas[1] - (0.5 + 0.5j)) < 1e-12
+        # all-ones pair: alpha_p(0) = 1 - (1 + e^{-j w_p})/2 = [0, (1+j)/2, 1, (1-j)/2]
+        # and alpha_p(1) is its conjugate; the p-sums give a = 2, b = 14 for both
+        a, b = ab_all_direct([1.0, 1.0])
+        assert np.allclose(a, [2.0, 2.0], atol=1e-12)
+        assert np.allclose(b, [14.0, 14.0], atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
     def test_matches_naive_double_sum(self, n):
         rng = np.random.default_rng(n)
         x = random_unimodular(n, rng)
+        a, b = ab_all_direct(x)
         for q in range(n):
-            assert np.max(np.abs(alpha_direct(x, q) - alpha_naive(x, q))) < 1e-10
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            alpha_direct([1.0, 1.0], 2)
-        with pytest.raises(ValueError):
-            alpha_direct([1.0, 1.0], -1)
+            ea, eb = ab_naive(alpha_naive(x, q))
+            assert abs(a[q] - ea) <= 1e-10 * max(1.0, abs(ea))
+            assert abs(b[q] - eb) <= 1e-10 * max(1.0, abs(eb))
 
     def test_not_generally_unimodular(self):
         rng = np.random.default_rng(8)
-        alphas = alpha_direct(random_unimodular(6, rng), 2)
+        alphas = _alphas(random_unimodular(6, rng), np.array([2]))
         assert np.max(np.abs(np.abs(alphas) - 1.0)) > 1e-3
 
 
 class TestAbFromAlphas:
+    """The (a, b) reduction of ab_all_direct on sequences x = [v, 0, ..., 0],
+    whose alpha set at q = 0 is the constant v (1 - 1/N)."""
+
     def test_zero_alphas(self):
-        c = ab_from_alphas(np.zeros(8, dtype=complex))
-        assert c.a == 0 and c.b == 0
+        a, b = ab_all_direct(np.zeros(4, dtype=complex))
+        assert np.all(a == 0) and np.all(b == 0)
 
     def test_unit_alphas(self):
         n = 5
-        c = ab_from_alphas(np.ones(2 * n, dtype=complex))
-        assert c.a == pytest.approx(4 * n)
-        assert c.b == pytest.approx(16 * n)
+        x = np.zeros(n, dtype=complex)
+        x[0] = n / (n - 1)
+        a, b = ab_all_direct(x)
+        assert a[0] == pytest.approx(4 * n)
+        assert b[0] == pytest.approx(16 * n)
 
     def test_imaginary_alphas(self):
         n = 3
-        c = ab_from_alphas(np.full(2 * n, 1j))
-        assert c.a == pytest.approx(-4 * n)
-        assert c.b == pytest.approx(-16j * n)
-
-    def test_decomposition_accessors(self):
-        c = ab_from_alphas(np.array([1 + 2j, -0.5j]))
-        assert c.a_R == c.a.real and c.a_I == c.a.imag
-        assert c.b_R == c.b.real and c.b_I == c.b.imag
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            ab_from_alphas([])
+        x = np.zeros(n, dtype=complex)
+        x[0] = 1j * n / (n - 1)
+        a, b = ab_all_direct(x)
+        assert a[0] == pytest.approx(-4 * n)
+        assert b[0] == pytest.approx(-16j * n)
 
 
 class TestFastPath:
@@ -120,19 +118,20 @@ class TestFastPath:
         for _ in range(10):
             x = random_unimodular(n, rng)
             a_fast, b_fast = ab_all_fast(x)
-            for q in range(n):
-                c = ab_from_alphas(alpha_direct(x, q))
-                assert abs(a_fast[q] - c.a) <= 1e-8 * max(1.0, abs(c.a))
-                assert abs(b_fast[q] - c.b) <= 1e-8 * max(1.0, abs(c.b))
+            a_dir, b_dir = ab_all_direct(x)
+            assert np.all(np.abs(a_fast - a_dir) <= 1e-8 * np.maximum(1.0, np.abs(a_dir)))
+            assert np.all(np.abs(b_fast - b_dir) <= 1e-8 * np.maximum(1.0, np.abs(b_dir)))
 
     def test_direct_batch_equals_per_q_composition(self):
+        # variables on both sides of the first block edge of ab_all_direct
         rng = np.random.default_rng(77)
-        x = random_unimodular(9, rng)
-        a_dir, b_dir = ab_all_direct(x, chunk=4)
-        for q in range(9):
-            c = ab_from_alphas(alpha_direct(x, q))
-            assert abs(a_dir[q] - c.a) < 1e-12 * max(1.0, abs(c.a))
-            assert abs(b_dir[q] - c.b) < 1e-12 * max(1.0, abs(c.b))
+        n = _CHUNK + 9
+        x = random_unimodular(n, rng)
+        a_dir, b_dir = ab_all_direct(x)
+        for q in (0, _CHUNK - 1, _CHUNK, n - 1):
+            ea, eb = ab_naive(alpha_naive(x, q))
+            assert abs(a_dir[q] - ea) < 1e-12 * max(1.0, abs(ea))
+            assert abs(b_dir[q] - eb) < 1e-12 * max(1.0, abs(eb))
 
     def test_spot_check_large_n(self):
         rng = np.random.default_rng(1024)
