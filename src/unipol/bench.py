@@ -4,7 +4,7 @@ Each (algo, N) cell runs `runs` trials seeded base_seed + trial index. Rows
 come out in a deterministic (algo, N, seed) order regardless of execution
 order; only the timing columns vary between repeat invocations. The
 UNIPOL_THREADS environment variable caps trial concurrency (0 or unset =
-auto, 1 = sequential).
+auto, 1 = sequential); a value that is not an integer is an error.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ class BenchRow:
 
 
 def worker_count(n_tasks: int) -> int:
-    """Concurrency cap from UNIPOL_THREADS; 0/unset means auto (cpu count)."""
+    """Concurrency cap from UNIPOL_THREADS, an integer; 0/unset means auto (cpu count)."""
     raw = os.environ.get("UNIPOL_THREADS", "0")
     try:
         configured = int(raw)
     except ValueError:
-        configured = 0
+        raise ValueError(f"UNIPOL_THREADS must be an integer, got {raw!r}") from None
     if configured <= 0:
         configured = os.cpu_count() or 1
     return max(1, min(configured, n_tasks))

@@ -4,7 +4,9 @@ A sequence file is a CSV table with header ``index,phase,re,im``: 0-based
 index, phase in [0, 2*pi) radians, and the matching cosine/sine. Phases are
 written with 17 significant digits, so a write/read round trip reproduces
 them to full double precision (well inside the 1e-12 format contract).
-``re``/``im`` must agree with the phase within 1e-12.
+``re``/``im`` must agree with the phase within 1e-12. Every cell is an ASCII
+decimal: digit-group underscores and non-ASCII digits, which Python's
+``int``/``float`` would take, are rejected. A UTF-8 byte-order mark is allowed.
 
 A run record is a JSON document with keys {algorithm, N, seed, phaseRange,
 maxIterations, relTolerance, islTrace, timeTraceSeconds, finalPhases,
@@ -61,11 +63,11 @@ def read_sequence_file(path) -> UnimodularSequence:
     """Parse a CSV phase table back into a sequence.
 
     Raises SequenceFileError with the offending row/column on any malformed
-    content, including non-UTF-8 bytes, non-finite cells and re/im entries
-    inconsistent with the phase.
+    content, including non-UTF-8 bytes, cells that are not finite ASCII
+    decimals and re/im entries inconsistent with the phase.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = [line.strip() for line in fh]
     except UnicodeDecodeError as exc:
         raise SequenceFileError(f"not UTF-8 text: {exc.reason}") from None
@@ -78,6 +80,11 @@ def read_sequence_file(path) -> UnimodularSequence:
         parts = line.split(",")
         if len(parts) != 4:
             raise SequenceFileError(f"row {rownum}: expected 4 columns, got {len(parts)}")
+        for colnum, text in enumerate(parts, start=1):
+            if "_" in text or not text.isascii():
+                raise SequenceFileError(
+                    f"row {rownum}, column {colnum}: not an ASCII decimal: {text!r}"
+                )
         try:
             idx = int(parts[0])
         except ValueError:

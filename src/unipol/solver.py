@@ -90,16 +90,16 @@ def init_random(n: int, seed: int, phase_range: str = "full") -> UnimodularSeque
 def unipol_step(xt, fast_path: bool = True) -> UnimodularSequence:
     """One simultaneous MM update of every variable from the snapshot xt.
 
-    Variables whose surrogate is constant (a = b = 0, e.g. the N = 1 case)
-    keep their current phase. isl_time never increases across a step.
-    Passing False as the second argument swaps ab_all_fast for the O(N^2)
-    ab_all_direct oracle, which tests use as the reference.
+    For N = 1 the surrogate is constant and the step returns its input.
+    isl_time never increases across a step. Passing False as the second
+    argument swaps ab_all_fast for the O(N^2) ab_all_direct oracle, which
+    tests use as the reference.
     """
     v = as_values(xt)
+    if v.size == 1:
+        return xt if isinstance(xt, UnimodularSequence) else UnimodularSequence(v)
     a, b = ab_all_fast(v) if fast_path else ab_all_direct(v)
-    current = np.mod(np.angle(v), 2.0 * np.pi)
-    theta = minimize_batch(a, b, fallback_phases=current)
-    return UnimodularSequence.from_phases(theta)
+    return UnimodularSequence.from_phases(minimize_batch(a, b))
 
 
 def _run_loop(

@@ -69,6 +69,30 @@ class TestSequenceFile:
         with pytest.raises(SequenceFileError, match=f"row 2, column {column}: not a finite"):
             read_sequence_file(path)
 
+    @pytest.mark.parametrize("column, cell", [
+        (1, "0_0"), (1, "\uff10"), (2, "0_0"), (3, "1.0_0"), (3, "\uff11.0"), (4, "\uff10"),
+    ])
+    def test_python_only_spelling(self, tmp_path, column, cell):
+        # int()/float() read each of these as the valid value of its column
+        cells = ["0", "0.0", "1.0", "0.0"]
+        cells[column - 1] = cell
+        path = tmp_path / "bad.csv"
+        path.write_text("index,phase,re,im\n" + ",".join(cells) + "\n", encoding="utf-8")
+        with pytest.raises(SequenceFileError, match=f"row 2, column {column}: not an ASCII decimal"):
+            read_sequence_file(path)
+
+    def test_underflowing_decimal_reads_as_zero(self, tmp_path):
+        # 1e-400 is a plain decimal whose correctly rounded value is 0.0
+        path = tmp_path / "tiny.csv"
+        path.write_text("index,phase,re,im\n0,1e-400,1.0,1e-400\n")
+        assert read_sequence_file(path).phases[0] == 0.0
+
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        seq = init_random(5, 3)
+        path.write_bytes(sequence_file_text(seq).encode("utf-8-sig"))
+        assert np.max(np.abs(read_sequence_file(path).phases - seq.phases)) <= 1e-12
+
     def test_bad_index_order(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("index,phase,re,im\n1,0.0,1.0,0.0\n")
@@ -209,6 +233,22 @@ class TestMetricsCommand:
         assert rc == 1
         assert "UTF-8" in capsys.readouterr().err
 
+    def test_byte_order_mark_file(self, tmp_path, capsys):
+        path = tmp_path / "b13.csv"
+        path.write_bytes(sequence_file_text(generate("barker", 13)).encode("utf-8-sig"))
+        rc = main(["metrics", str(path), "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["isl"] == pytest.approx(6.0, abs=1e-9)
+
+    @pytest.mark.parametrize("row", [f"0,1_0,{math.cos(10)!r},{math.sin(10)!r}", "\uff10,0.0,1.0,0.0"],
+                             ids=["underscore_phase", "full_width_index"])
+    def test_python_only_spelling_exits_1(self, tmp_path, capsys, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"index,phase,re,im\n{row}\n", encoding="utf-8")
+        rc = main(["metrics", str(path)])
+        assert rc == 1
+        assert "row 2, column" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path):
         rc = main(["metrics", str(tmp_path / "nope.csv")])
         assert rc == 1
@@ -305,3 +345,12 @@ class TestBenchCommand:
         assert main(args) == 0
         sequential = [line.split(",")[:5] for line in out.read_text().strip().split("\n")]
         assert threaded == sequential
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", ""])
+    def test_malformed_thread_cap_env_usage_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("UNIPOL_THREADS", value)
+        rc = main(["bench", "--algos", "can", "--lengths", "16", "--runs", "1", "--iters", "2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "UNIPOL_THREADS" in captured.err
+        assert captured.out == ""

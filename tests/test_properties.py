@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from unipol.cli import main
 from unipol.io import SequenceFileError, read_sequence_file
 from unipol.metrics import UnimodularSequence, isl_time
-from unipol.quartic import _TIE_GAP, minimize_batch
+from unipol.quartic import _CONSTANT_ROW_RTOL, _TIE_GAP, _anchor, minimize_batch
 from unipol.solver import unipol_step
 from unipol.surrogate import ab_all_direct, ab_all_fast
 
@@ -53,6 +53,24 @@ def test_minimize_batch_against_dense_grid(row):
     scale = abs(a) + abs(b)
     excess = objective(a, b, theta) - objective(a, b, GRID).min()
     assert excess <= _TIE_GAP * min(1.0, scale) + 1e-13 * scale
+
+
+@st.composite
+def triple_point_rows(draw):
+    """a = r e^{2j gamma}, b = -4r e^{j gamma}: the minimum at theta = pi - gamma
+    is a triple stationary point."""
+    r, gamma = draw(magnitude), draw(phase)
+    return complex(r * np.exp(2j * gamma)), complex(-4.0 * r * np.exp(1j * gamma))
+
+
+@PROPERTY
+@given(subproblem_rows() | triple_point_rows())
+def test_anchor_keeps_the_leading_coefficient(row):
+    a, b = (np.array([v]) for v in row)
+    _, coeffs = _anchor(a, b)
+    top = np.max(np.abs(coeffs))
+    if top > _CONSTANT_ROW_RTOL * max(1.0, abs(a[0]) + abs(b[0])):
+        assert abs(coeffs[0, 0]) >= top / 9
 
 
 @PROPERTY

@@ -61,6 +61,12 @@ class TestUnipolStep:
         out = unipol_step(x)
         assert np.array_equal(out.values, x.values)
 
+    @pytest.mark.parametrize("phase", [-1e-300, -1e-17, -3e-16])
+    def test_n1_keeps_input_below_zero_phase(self, phase):
+        # wrapping such a phase into [0, 2*pi) rounds it up to 2*pi
+        x = UnimodularSequence([np.exp(1j * phase)])
+        assert np.array_equal(unipol_step(x).values, x.values)
+
     def test_matches_per_variable_grid_search(self):
         # each updated phase must reach the grid-searched minimum of its own
         # per-variable quartic surrogate sum_p |x - alpha_p|^4
