@@ -11,6 +11,7 @@ the snapshot and dominates it elsewhere.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -43,6 +44,9 @@ class SolverConfig:
     phase_range: str = "full"
 
     def __post_init__(self):
+        for name in ("n", "max_iterations", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 1:
             raise ValueError("sequence length must be >= 1")
         if self.max_iterations < 1:

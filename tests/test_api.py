@@ -1,10 +1,13 @@
-"""Public-surface tests: every exported name resolves, and every attribute the
+"""Public-surface tests: every exported name resolves, every attribute the
 perfbench span tracer patches exists, so a deletion that would break
-``perfbench/run.py --trace 1`` fails here first."""
+``perfbench/run.py --trace 1`` fails here first, and the package imports
+nothing beyond the standard library and numpy."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,16 @@ def test_span_tracer_patch_targets_exist():
     for owner, key, original, is_dict in patched:
         current = owner[key] if is_dict else getattr(owner, key)
         assert current is original, key
+
+
+def test_no_dependency_beyond_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "unipol"}
+    imported = set()
+    for path in Path(unipol.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported  # the walk saw the imports
+    assert imported <= allowed, sorted(imported - allowed)

@@ -346,7 +346,7 @@ class TestBenchCommand:
         sequential = [line.split(",")[:5] for line in out.read_text().strip().split("\n")]
         assert threaded == sequential
 
-    @pytest.mark.parametrize("value", ["abc", "2.5", ""])
+    @pytest.mark.parametrize("value", ["abc", "2.5", "", "-1"])
     def test_malformed_thread_cap_env_usage_error(self, monkeypatch, capsys, value):
         monkeypatch.setenv("UNIPOL_THREADS", value)
         rc = main(["bench", "--algos", "can", "--lengths", "16", "--runs", "1", "--iters", "2"])

@@ -1,4 +1,4 @@
-"""Stationarity-quartic tests: coefficient map, real roots, unit-circle minimizer."""
+"""Stationarity-quartic tests: coefficient map, companion candidates, unit-circle minimizer."""
 
 import numpy as np
 import pytest
@@ -16,10 +16,9 @@ def objective(a, b, theta):
     return (a * np.exp(2j * theta) - b * np.exp(1j * theta)).real
 
 
-def real_roots(coeffs):
-    """Finite roots of one coefficient row through the batched route, sorted."""
-    roots = _real_roots_batch(np.asarray([coeffs], dtype=float))[0]
-    return np.sort(roots[~np.isnan(roots)])
+def candidates(coeffs):
+    """Candidate betas of one coefficient row through the batched route, sorted."""
+    return np.sort(_real_roots_batch(np.asarray([coeffs], dtype=float))[0])
 
 
 class TestQuarticCoeffs:
@@ -34,23 +33,23 @@ class TestQuarticCoeffs:
 
 
 class TestSolveQuarticReal:
-    """Real roots of single rows and of random batches, all through _real_roots_batch."""
+    """Candidate betas (real parts of all four companion eigenvalues) of single
+    rows and of random batches, all through _real_roots_batch."""
 
     def test_biquadratic(self):
-        roots = real_roots([1, 0, 0, 0, -1])
-        assert np.allclose(roots, [-1.0, 1.0], atol=1e-12)
+        # roots +-1 and +-1j; the complex pair contributes its real part 0 twice
+        assert np.allclose(candidates([1, 0, 0, 0, -1]), [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
 
     def test_deflated_cubic(self):
         # no deflation: a row whose leading coefficient is zero comes back all-NaN
         assert np.all(np.isnan(_real_roots_batch(np.array([[0.0, 2.0, 0.0, 2.0, 0.0]]))))
 
     def test_double_root_collapsed(self):
-        # oracle: expand (b - 2)^2 (b^2 + 1); every slot the double root fills lands on 2
+        # oracle: expand (b - 2)^2 (b^2 + 1); both slots of the double root land
+        # on 2, and the pair +-1j gives 0 twice
         coeffs = np.polymul(np.polymul([1, -2], [1, -2]), [1, 0, 1])
         assert np.array_equal(coeffs, [1, -4, 5, -4, 4])
-        roots = real_roots(coeffs)
-        assert roots.size >= 1
-        assert np.all(np.abs(roots - 2.0) <= 1e-6)
+        assert np.all(np.abs(candidates(coeffs) - [0.0, 0.0, 2.0, 2.0]) <= 1e-6)
 
     def test_all_zero_signals(self):
         # every theta is stationary; the row comes back all-NaN
@@ -59,13 +58,9 @@ class TestSolveQuarticReal:
     def test_residual_contract_random(self):
         rng = np.random.default_rng(1)
         c = rng.uniform(-10, 10, size=(2000, 5))
-        roots = _real_roots_batch(c)
-        finite = ~np.isnan(roots)
-        assert np.any(finite)
-        c4, c3, c2, c1, c0 = (c[:, i : i + 1] for i in range(5))
-        residual = np.abs((((c4 * roots + c3) * roots + c2) * roots + c1) * roots + c0)
-        bound = 1e-9 * (1 + np.max(np.abs(c), axis=1, keepdims=True)) * (1 + np.abs(roots)) ** 4
-        assert np.all(residual[finite] <= bound[finite])
+        got = np.sort(_real_roots_batch(c), axis=1)
+        oracle = np.array([np.sort(np.roots(row).real) for row in c])
+        assert np.array_equal(got, oracle)
 
     def test_sign_change_bracketing(self):
         # every sign change of p on the wide grid must have a reported root
@@ -93,20 +88,17 @@ class TestSolveQuarticReal:
 class TestRootGate:
     def test_every_finite_root_meets_its_row_bound(self):
         # (beta - r)^2 (beta^2 + e) puts a complex pair next to a double real
-        # root, inside the loose _IMAG_RTOL filter; uniform rows share the batch
+        # root; the double root may split into a complex pair, whose real part
+        # must still land on r. Uniform rows share the batch.
         rng = np.random.default_rng(50)
         r = rng.uniform(-5, 5, size=3000)
         e = 10.0 ** rng.uniform(-16, -6, size=r.size)
         near_double = [np.polymul(np.polymul([1, -ri], [1, -ri]), [1, 0, ei]) for ri, ei in zip(r, e)]
         coeffs = np.vstack([near_double, rng.uniform(-10, 10, size=(3000, 5))])
-        roots = _real_roots_batch(coeffs)
-        c4, c3, c2, c1, c0 = (coeffs[:, i : i + 1] for i in range(5))
-        residual = np.abs((((c4 * roots + c3) * roots + c2) * roots + c1) * roots + c0)
-        row_max = np.max(np.abs(coeffs), axis=1, keepdims=True)
-        bound = 1e-9 * (1 + row_max) * (1 + np.abs(roots)) ** 4
-        finite = ~np.isnan(roots)
-        assert np.count_nonzero(finite) > 3000  # the gate still keeps real roots
-        assert np.all(residual[finite] <= bound[finite]), int(np.sum(finite & ~(residual <= bound)))
+        betas = _real_roots_batch(coeffs)
+        assert np.all(np.isfinite(betas))
+        miss = np.min(np.abs(betas[: r.size] - r[:, None]), axis=1)
+        assert np.all(miss <= 1e-6), float(np.max(miss))
 
 
 class TestMinimizeSingle:
@@ -114,7 +106,8 @@ class TestMinimizeSingle:
         assert minimize_single(0, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_real_b_needs_pi_candidate(self):
-        # quartic roots alone yield theta = 0, a maximizer here
+        # theta = pi, the minimizer here, is the one angle the half-angle
+        # substitution cannot reach; the anchor rotation brings it into range
         theta = minimize_single(0, -2)
         assert theta == pytest.approx(np.pi, abs=1e-12)
         assert objective(0, -2, theta) < objective(0, -2, 0.0)
@@ -126,6 +119,20 @@ class TestMinimizeSingle:
     def test_constant_objective_returns_zero(self):
         assert minimize_single(0, 0) == 0.0
 
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (0, -3e-14, np.pi),  # 0.0 would be the maximizer
+            (1e-15, 0, np.pi / 2),
+            (0, 1e-13j, 3 * np.pi / 2),
+            (5e-324, 0, np.pi / 2),
+            (0, -5e-324, np.pi),
+        ],
+    )
+    def test_tiny_rows_are_not_constant(self, a, b, expected):
+        # only a = b = 0 is constant, however small the row
+        assert minimize_single(a, b) == pytest.approx(expected, abs=1e-12)
+
     def test_stationarity_of_root_candidates(self):
         rng = np.random.default_rng(3)
         h = 1e-6
@@ -133,8 +140,6 @@ class TestMinimizeSingle:
             a = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
             b = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
             theta = minimize_single(a, b)
-            if abs(theta - np.pi) < 1e-12:
-                continue  # the explicit pi candidate need not be stationary
             deriv = (objective(a, b, theta + h) - objective(a, b, theta - h)) / (2 * h)
             assert abs(deriv) <= 1e-6 * (abs(a) + abs(b) + 1)
 

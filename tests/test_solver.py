@@ -25,6 +25,9 @@ class TestSolverConfig:
             dict(n=5, seed=-1),
             dict(n=5, rel_tolerance=float("nan")),
             dict(n=5, rel_tolerance=float("inf")),
+            dict(n=10.0),
+            dict(n=5, max_iterations=2.5),
+            dict(n=5, seed=1.5),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
