@@ -9,6 +9,7 @@ auto, 1 = sequential); a value that is not an integer >= 0 is an error.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -89,6 +90,8 @@ def run_bench(
     for algo in algos:
         if algo not in _RUNNERS:
             raise ValueError(f"unknown algorithm {algo!r}; choose from {sorted(_RUNNERS)}")
+    if not isinstance(runs, numbers.Integral):
+        raise ValueError(f"runs must be an integer, got {runs!r}")
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if any(n < 2 for n in lengths):

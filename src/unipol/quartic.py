@@ -14,8 +14,8 @@ p4^2 sums to 16|a|^2 + 4|b|^2 over the 8 anchors, |p4| >= (sqrt(2)/12)
 max|p_i| > max|p_i| / 9: phi + pi is never stationary, every row but a = b = 0
 is a true quartic, and every root has |beta| <= 10 (Cauchy's bound).
 
-`_real_roots_batch` returns the real parts of all four eigenvalues of each
-row's 4x4 companion matrix, and `minimize_batch` scores every one of them as
+`_real_roots_batch` returns the real parts of all four roots of each row, by
+Ferrari's closed form, and `minimize_batch` scores every one of them as
 theta = phi + 2*arctan(beta) on the objective itself. Every real stationary
 point is among these candidates and every candidate is a real angle whose
 objective is evaluated exactly, so the best candidate is the global minimizer.
@@ -39,6 +39,10 @@ _TIE_GAP = 1e-12
 _COS = np.array([1.0, np.sqrt(0.5), 0.0, -np.sqrt(0.5), -1.0, -np.sqrt(0.5), 0.0, np.sqrt(0.5)])
 _SIN = np.roll(_COS, 2)
 _DOUBLE = 2 * np.arange(8) % 8  # anchor index of 2*phi
+
+# Rows per block of the closed form; bounds its complex temporaries.
+_BLOCK = 2048
+_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)
 
 
 def quartic_coeffs_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -74,20 +78,56 @@ def _anchor(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k * (np.pi / 4), quartic_coeffs_batch(a, b)
 
 
-def _real_roots_batch(coeffs: np.ndarray) -> np.ndarray:
-    """Candidate betas: the real parts of all four eigenvalues of each row's
-    companion matrix, shape (M, 4).
+def _ferrari(rows: np.ndarray) -> np.ndarray:
+    """Real parts of the four roots of each of rows (M, 5), all with rows[:, 0] != 0."""
+    flip = np.abs(rows[:, 4]) > np.abs(rows[:, 0])
+    lead, a3, a2, a1, a0 = np.ascontiguousarray(np.where(flip[:, None], rows[:, ::-1], rows).T)
+    a3, a2, a1, a0 = a3 / lead, a2 / lead, a1 / lead, a0 / lead
+    # depressed quartic y^4 + p y^2 + q y + r with x = y - a3/4
+    p = a2 - 0.375 * a3 * a3
+    q = a1 - 0.5 * a3 * (a2 - 0.25 * a3 * a3)
+    r = a0 - 0.25 * a3 * (a1 - a3 * (a2 - 0.1875 * a3 * a3) / 4.0)
+    # resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8 = 0 by Cardano on m = t - p/3; its
+    # root of largest |m| is the one that keeps s = sqrt(2m) away from zero
+    cp = -p * p / 12.0 - r
+    cq = -p * p * p / 108.0 + p * r / 3.0 - q * q / 8.0
+    w = np.sqrt(cq * cq / 4.0 + cp * cp * cp / 27.0 + 0j)
+    u = (np.where(cq * w.real > 0.0, -w, w) - cq / 2.0) ** (1.0 / 3.0)
+    u = u[:, None] * _CUBE_ROOTS_OF_UNITY
+    m = u - (cp / 3.0)[:, None] / np.where(u == 0.0, 1.0, u) - (p / 3.0)[:, None]
+    m = np.take_along_axis(m, np.argmax(np.abs(m), axis=1)[:, None], axis=1)
+    # (y^2 + p/2 + m)^2 = (s y - q/(2s))^2 splits into y^2 + b y + p/2 + m - q/(2b), b = +-s;
+    # s = 0 leaves q = 0 but for rounding. Each takes its larger root without cancellation.
+    b = np.sqrt(2.0 * m) * [1.0, -1.0]
+    c = p[:, None] / 2.0 + m - q[:, None] / (2.0 * np.where(b == 0.0, 1.0, b))
+    d = np.sqrt(b * b - 4.0 * c)
+    y = -0.5 * (b + np.where(b.real * d.real + b.imag * d.imag < 0.0, -d, d))
+    x = np.concatenate([y, c / np.where(y == 0.0, 1.0, y)], axis=1) - a3[:, None] / 4.0
+    x[flip] = 1.0 / np.where(x[flip] == 0.0, np.finfo(float).tiny, x[flip])
+    return x.real
 
-    Every real root is among them; the others are real parts of complex
-    roots, which the caller scores like any other angle. Every slot of a row
-    whose leading coefficient is zero is NaN (no deflation).
+
+def _real_roots_batch(coeffs: np.ndarray) -> np.ndarray:
+    """Candidate betas: the real parts of all four roots of each row, shape (M, 4).
+
+    Ferrari's closed form in complex arithmetic, in blocks of _BLOCK rows so
+    the temporaries stay a fraction of the output. A row with |p0| > |p4| is
+    solved reversed, for 1/beta, keeping its large roots accurate. Accuracy is
+    guaranteed on anchored rows (|p4| >= max|p_i|/9), the only ones that
+    minimize_batch sends: each real root has a candidate on it, the rest are
+    real parts of complex roots, scored like any other angle. Roots spread
+    over many decades lose the moderate ones (np.poly([1e-6, 1, 2, 1e6])
+    gives -1.13 and 0.46 for 1 and 2); coefficients past about 1e77 |p4|
+    overflow to NaN. A row with a zero leading coefficient is all-NaN.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     quartic = coeffs[:, 0] != 0.0
-    comp = np.zeros((coeffs.shape[0], 4, 4))
-    comp[:, 0, :] = -coeffs[:, 1:] / np.where(quartic, coeffs[:, 0], 1.0)[:, None]
-    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    return np.where(quartic[:, None], np.linalg.eigvals(comp).real, np.nan)
+    out = np.empty((coeffs.shape[0], 4))
+    for lo in range(0, coeffs.shape[0], _BLOCK):
+        block = np.where(quartic[lo : lo + _BLOCK, None], coeffs[lo : lo + _BLOCK], 1.0)
+        out[lo : lo + _BLOCK] = _ferrari(block)  # all-ones rows stand in for the zero-led
+    out[~quartic] = np.nan
+    return out
 
 
 def minimize_batch(a, b) -> np.ndarray:

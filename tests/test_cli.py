@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from unipol.baselines import generate
+from unipol.bench import run_bench
 from unipol.cli import main
 from unipol.io import (
     SequenceFileError,
@@ -319,6 +320,15 @@ class TestBenchCommand:
     def test_bad_runs_usage_error(self, capsys):
         rc = main(["bench", "--lengths", "50", "--runs", "0", "--iters", "5"])
         assert rc == 2
+
+    @pytest.mark.parametrize("runs", [2.5, 2.0, "2", None])
+    def test_non_integer_runs_value_error(self, runs):
+        with pytest.raises(ValueError, match="runs must be an integer"):
+            run_bench(["unipol"], [16], runs=runs, iters=2)
+
+    def test_numpy_integer_runs(self):
+        rows = run_bench(["unipol"], [16], runs=np.int64(2), iters=2)
+        assert [row.seed for row in rows] == [0, 1]
 
     @pytest.mark.parametrize("algos", [",", "", " , "])
     def test_empty_algos_usage_error(self, capsys, algos):

@@ -1,15 +1,22 @@
-"""Stationarity-quartic tests: coefficient map, companion candidates, unit-circle minimizer."""
+"""Stationarity-quartic tests: coefficient map, closed-form candidates, unit-circle minimizer."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import unipol.quartic as quartic
 from unipol.quartic import (
+    _BLOCK,
     _TIE_GAP,
+    _anchor,
     _real_roots_batch,
     minimize_batch,
     minimize_single,
     quartic_coeffs_batch,
 )
+from unipol.solver import init_random, unipol_step
+from unipol.surrogate import ab_all_fast
 
 
 def objective(a, b, theta):
@@ -19,6 +26,17 @@ def objective(a, b, theta):
 def candidates(coeffs):
     """Candidate betas of one coefficient row through the batched route, sorted."""
     return np.sort(_real_roots_batch(np.asarray([coeffs], dtype=float))[0])
+
+
+def eig_candidates(coeffs):
+    """The companion-matrix route the closed form replaced, kept as its oracle:
+    the real parts of the four eigenvalues of each row's 4x4 companion matrix."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    leading = coeffs[:, 0] != 0.0
+    comp = np.zeros((coeffs.shape[0], 4, 4))
+    comp[:, 0, :] = -coeffs[:, 1:] / np.where(leading, coeffs[:, 0], 1.0)[:, None]
+    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    return np.where(leading[:, None], np.linalg.eigvals(comp).real, np.nan)
 
 
 class TestQuarticCoeffs:
@@ -33,8 +51,8 @@ class TestQuarticCoeffs:
 
 
 class TestSolveQuarticReal:
-    """Candidate betas (real parts of all four companion eigenvalues) of single
-    rows and of random batches, all through _real_roots_batch."""
+    """Candidate betas (real parts of all four roots) of single rows and of
+    random batches, all through _real_roots_batch."""
 
     def test_biquadratic(self):
         # roots +-1 and +-1j; the complex pair contributes its real part 0 twice
@@ -60,7 +78,7 @@ class TestSolveQuarticReal:
         c = rng.uniform(-10, 10, size=(2000, 5))
         got = np.sort(_real_roots_batch(c), axis=1)
         oracle = np.array([np.sort(np.roots(row).real) for row in c])
-        assert np.array_equal(got, oracle)
+        assert np.all(np.abs(got - oracle) <= 1e-8 * (1.0 + np.abs(oracle)))
 
     def test_sign_change_bracketing(self):
         # every sign change of p on the wide grid must have a reported root
@@ -292,3 +310,81 @@ class TestSingleRootRouteAdversarial:
         singles = np.array([minimize_single(ai, bi) for ai, bi in zip(a, b)])
         assert np.array_equal(batch, singles)
         self.assert_grid_optimal(a, b)
+
+
+class TestClosedFormAgainstEigOracle:
+    """The closed form against the companion eigenvalues it replaced, scored on
+    the objective by minimize_batch, plus its blocks and their memory."""
+
+    @staticmethod
+    def best_objective(monkeypatch, a, b, roots):
+        # With a zero tie gap minimize_batch returns the row's best candidate, so
+        # the comparison sees the root route, not which side of the gap a near-tie
+        # falls on (that may cost up to the gap either way, by the tie contract).
+        with monkeypatch.context() as patch:
+            patch.setattr(quartic, "_TIE_GAP", 0.0)
+            patch.setattr(quartic, "_real_roots_batch", roots)
+            return objective(a, b, minimize_batch(a, b))
+
+    def assert_no_worse_than_eig(self, monkeypatch, a, b):
+        got = self.best_objective(monkeypatch, a, b, _real_roots_batch)
+        ref = self.best_objective(monkeypatch, a, b, eig_candidates)
+        excess = (got - ref) / (np.abs(a) + np.abs(b))
+        assert np.all(excess <= 1e-15), float(np.max(excess))
+
+    @pytest.mark.parametrize("n, steps", [(100, 5), (1000, 5), (16384, 2)])
+    def test_solver_rows(self, monkeypatch, n, steps):
+        for seed in range(3):
+            x = init_random(n, seed)
+            for _ in range(steps):
+                self.assert_no_worse_than_eig(monkeypatch, *ab_all_fast(x))
+                x = unipol_step(x)
+
+    @staticmethod
+    def family(name, rng, m=20_000):
+        size = 10.0 ** rng.uniform(-9, 6, size=(2, m))
+        phase = np.exp(2j * np.pi * rng.random((2, m)))
+        a, b = size * phase
+        r = 10.0 ** rng.uniform(-3, 4, size=m)
+        gamma = 2 * np.pi * rng.random(m)
+        eps = 10.0 ** rng.uniform(-14, -6, size=m) * r
+        kick = eps * (rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m)))
+        # the rows of test_rotated_triple_stationary_point: a triple stationary minimum
+        triple = (r * np.exp(2j * gamma), -4.0 * r * np.exp(1j * gamma))
+        return {
+            "generic": (a, b),
+            "triple": triple,
+            "perturbed_triple": (triple[0] + kick[0], triple[1] + kick[1]),
+            "a_zero": (np.zeros(m, dtype=complex), b),
+            "b_zero": (a, np.zeros(m, dtype=complex)),
+            "b_near_four_a": (a, 4.0 * np.abs(a) * (1.0 + 1e-3 * rng.normal(size=m)) * phase[1]),
+        }[name]
+
+    @pytest.mark.parametrize(
+        "name", ["generic", "triple", "perturbed_triple", "a_zero", "b_zero", "b_near_four_a"]
+    )
+    def test_adversarial_families(self, monkeypatch, name):
+        self.assert_no_worse_than_eig(monkeypatch, *self.family(name, np.random.default_rng(70)))
+
+    def test_block_boundaries_match_single(self):
+        rng = np.random.default_rng(71)
+        m = 2 * _BLOCK + 3
+        a = rng.normal(size=m) + 1j * rng.normal(size=m)
+        b = rng.normal(size=m) + 1j * rng.normal(size=m)
+        singles = np.array([minimize_single(ai, bi) for ai, bi in zip(a, b)])
+        assert np.array_equal(minimize_batch(a, b), singles)
+
+    def test_traced_peak_stays_near_the_output(self):
+        # the blocks keep the temporaries small; one unblocked pass over 65536
+        # rows peaks at about 17x the output, the companion route at about 7x
+        rng = np.random.default_rng(72)
+        m = 65_536
+        coeffs = _anchor(rng.normal(size=m) + 1j * rng.normal(size=m),
+                         rng.normal(size=m) + 1j * rng.normal(size=m))[1]
+        tracemalloc.start()
+        try:
+            out = _real_roots_batch(coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * out.nbytes, peak / out.nbytes
