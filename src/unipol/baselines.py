@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from unipol.metrics import UnimodularSequence, as_values
-from unipol.solver import RunTrace, SolverConfig, _run_loop
+from unipol.solver import RunTrace, SolverConfig, _check_length, _run_loop
 
 __all__ = ["FAMILIES", "BARKER_CODES", "generate", "can_run"]
 
@@ -36,8 +36,7 @@ def generate(family: str, n: int) -> UnimodularSequence:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    if n < 1:
-        raise ValueError("sequence length must be >= 1")
+    _check_length(n)
     m = np.arange(n)
 
     if family == "barker":

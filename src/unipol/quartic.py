@@ -35,9 +35,10 @@ __all__ = [
 # Objective gap, times min(1, |a| + |b|), within which the smallest theta wins a tie.
 _TIE_GAP = 1e-12
 
-# cos and sin of the anchors k*pi/4, k = 0..7, exact where they are 0 or +-1.
+# cos, sin and e^{j k pi/4} of the anchors k = 0..7, exact where they are 0 or +-1.
 _COS = np.array([1.0, np.sqrt(0.5), 0.0, -np.sqrt(0.5), -1.0, -np.sqrt(0.5), 0.0, np.sqrt(0.5)])
 _SIN = np.roll(_COS, 2)
+_ROT = _COS + 1j * _SIN
 _DOUBLE = 2 * np.arange(8) % 8  # anchor index of 2*phi
 
 # Rows per block of the closed form; bounds its complex temporaries.
@@ -66,16 +67,14 @@ def _anchor(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Anchor phi (M,) of each row and the stationarity rows (M, 5) of the
     rotated subproblem a e^{2j phi}, b e^{j phi}.
 
-    phi = k*pi/4 maximizes |p4| = |2 Im(a e^{2j phi}) + Im(b e^{j phi})|.
-    Only elementwise arithmetic, so a row's result does not depend on its batch.
+    phi = k*pi/4 maximizes |p4| = |2 Im(a e^{2j phi}) + Im(b e^{j phi})|, on real
+    (M, 8) tables (complex ones double the temporaries); the row is then rotated
+    by _ROT. Elementwise only, so a row's result does not depend on its batch.
     """
     ar, ai, br, bi = (x[:, None] for x in (a.real, a.imag, b.real, b.imag))
     p4 = 2.0 * (ai * _COS[_DOUBLE] + ar * _SIN[_DOUBLE]) + bi * _COS + br * _SIN
     k = np.argmax(np.abs(p4), axis=1)
-    c, s, c2, s2 = _COS[k], _SIN[k], _COS[_DOUBLE[k]], _SIN[_DOUBLE[k]]
-    a = (a.real * c2 - a.imag * s2) + 1j * (a.real * s2 + a.imag * c2)
-    b = (b.real * c - b.imag * s) + 1j * (b.real * s + b.imag * c)
-    return k * (np.pi / 4), quartic_coeffs_batch(a, b)
+    return k * (np.pi / 4), quartic_coeffs_batch(a * _ROT[_DOUBLE[k]], b * _ROT[k])
 
 
 def _ferrari(rows: np.ndarray) -> np.ndarray:

@@ -27,6 +27,14 @@ __all__ = ["SolverConfig", "RunTrace", "init_random", "unipol_step", "run"]
 PHASE_RANGES = ("full", "unit")
 
 
+def _check_length(n) -> None:
+    """Raise ValueError unless the sequence length n is an integer >= 1."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("sequence length must be >= 1")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters shared by the MM driver and the baselines.
@@ -44,11 +52,10 @@ class SolverConfig:
     phase_range: str = "full"
 
     def __post_init__(self):
-        for name in ("n", "max_iterations", "seed"):
+        _check_length(self.n)
+        for name in ("max_iterations", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n < 1:
-            raise ValueError("sequence length must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 <= self.rel_tolerance < math.inf:
@@ -82,8 +89,7 @@ class RunTrace:
 
 def init_random(n: int, seed: int, phase_range: str = "full") -> UnimodularSequence:
     """Seeded random unimodular sequence; identical inputs give identical output."""
-    if n < 1:
-        raise ValueError("sequence length must be >= 1")
+    _check_length(n)
     if phase_range not in PHASE_RANGES:
         raise ValueError(f"phase_range must be one of {PHASE_RANGES}")
     width = 2.0 * np.pi if phase_range == "full" else 1.0

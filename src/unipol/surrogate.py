@@ -9,9 +9,9 @@ variable q is (up to an additive constant) Re(a x^2 - b x) on |x| = 1, with
 
 on the 2N-point grid omega_p = pi p / N. Two routes compute every (a(q), b(q)):
 
-* `ab_all_fast`, the solver's route, expands the p-sums into a handful of
-  length-2N inverse transforms (the e^{2j omega_p q} terms alias onto a
-  length-N subgrid), O(N log N) total;
+* `ab_all_fast`, the solver's route, expands the p-sums into one forward
+  transform of length 2N and two inverse ones, of lengths 2N and N (the
+  e^{2j omega_p q} terms alias onto a length-N subgrid), O(N log N) total;
 * `ab_all_direct` builds every alpha_p(q) and sums over p, O(N^2) total. It is
   the one testing oracle, and `surrogate_value` builds the same alphas.
 """
@@ -67,44 +67,35 @@ def ab_all_fast(xt) -> tuple[np.ndarray, np.ndarray]:
     """(a(q), b(q)) for every q in O(N log N) via transforms.
 
     Expanding the p-sums with alpha_p(q) = xt[q] - c_p e^{j omega_p q} leaves
-    three kinds of q-dependent sums, each one inverse transform:
+    three kinds of q-dependent sums. The first, sum_p c_p e^{j omega_p q},
+    is exactly 2 xt[q]: c is the zero-padded forward transform of xt over N,
+    and the inverse transform undoes it. The other two take one inverse
+    transform each:
 
-        S1[q] = sum_p c_p          e^{j omega_p q}     (length 2N)
         S3[q] = sum_p |c_p|^2 c_p  e^{j omega_p q}     (length 2N)
         T2[q] = sum_p c_p^2        e^{2j omega_p q}    (aliases to length N)
 
-    giving, with u = xt[q] (|u| carried exactly rather than assumed 1):
+    giving, with u = xt[q] and P0 = sum_p |c_p|^2 (|u| carried exactly rather
+    than assumed 1, so the identity holds for any xt):
 
-        a(q)/2 = 2N conj(u)^2 - 2 conj(u) conj(S1) + conj(T2)
-        b(q)/4 = 2N conj(u)(1+|u|^2) + 2 conj(u) P0
-                 - (1+2|u|^2) conj(S1) - conj(S3) - conj(u)^2 S1 + u conj(T2)
-
-    where P0 = sum_p |c_p|^2.
+        a(q)/2 = 2(N-2) conj(u)^2 + conj(T2)
+        b(q)/4 = conj(u) (2N(1+|u|^2) + 2 P0 - 2 - 6|u|^2) - conj(S3) + u conj(T2)
     """
     v = as_values(xt)
     n = v.size
-    two_n = 2 * n
-    c = np.fft.fft(v, two_n) / n
+    c = np.fft.fft(v, 2 * n) / n
     cmag2 = np.abs(c) ** 2
-
-    s1 = (two_n * np.fft.ifft(c))[:n]
-    s3 = (two_n * np.fft.ifft(cmag2 * c))[:n]
+    s3 = (2 * n * np.fft.ifft(cmag2 * c))[:n]
     c2 = c * c
     t2 = n * np.fft.ifft(c2[:n] + c2[n:])
     p0 = np.sum(cmag2)
 
-    u = v
     uc = np.conj(v)
     umag2 = np.abs(v) ** 2
-
-    a = 2.0 * (two_n * uc * uc - 2.0 * uc * np.conj(s1) + np.conj(t2))
+    t2c = np.conj(t2)
+    a = 2.0 * (2.0 * (n - 2) * uc * uc + t2c)
     b = 4.0 * (
-        two_n * uc * (1.0 + umag2)
-        + 2.0 * uc * p0
-        - (1.0 + 2.0 * umag2) * np.conj(s1)
-        - np.conj(s3)
-        - uc * uc * s1
-        + u * np.conj(t2)
+        uc * (2.0 * n * (1.0 + umag2) + 2.0 * p0 - 2.0 - 6.0 * umag2) - np.conj(s3) + v * t2c
     )
     return a, b
 

@@ -52,11 +52,27 @@ class TestGenerate:
         with pytest.raises(ValueError, match="square"):
             generate("frank", 1)
 
-    @pytest.mark.parametrize("family,n", [("golomb", 31), ("chu", 30), ("chu", 31), ("p4", 40)])
+    @pytest.mark.parametrize(
+        "family,n",
+        [
+            ("golomb", 31),
+            ("chu", 30),
+            ("chu", 31),
+            ("p4", 40),
+            ("chu", np.int64(30)),
+            ("p4", np.int32(9)),
+        ],
+    )
     def test_quadratic_families_unimodular(self, family, n):
         seq = generate(family, n)
         assert len(seq) == n
         assert np.max(np.abs(np.abs(seq.values) - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("family", ["chu", "golomb", "p4", "barker", "frank"])
+    @pytest.mark.parametrize("n", [10.5, 16.0, np.float64(13.0), "13", None])
+    def test_rejects_non_integer_length(self, family, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            generate(family, n)
 
     def test_chu_even_formula(self):
         n = 10

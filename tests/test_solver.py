@@ -57,6 +57,15 @@ class TestInitRandom:
     def test_seed_changes_output(self):
         assert not np.array_equal(init_random(8, 1).values, init_random(8, 2).values)
 
+    @pytest.mark.parametrize("n", [2.5, 5.0, np.float64(5.0), "5", None])
+    def test_rejects_non_integer_length(self, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            init_random(n, 0)
+
+    @pytest.mark.parametrize("n", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_numpy_integer_length(self, n):
+        assert np.array_equal(init_random(n, 4).values, init_random(5, 4).values)
+
 
 class TestUnipolStep:
     def test_n1_keeps_input(self):

@@ -122,6 +122,31 @@ class TestFastPath:
             assert np.all(np.abs(a_fast - a_dir) <= 1e-8 * np.maximum(1.0, np.abs(a_dir)))
             assert np.all(np.abs(b_fast - b_dir) <= 1e-8 * np.maximum(1.0, np.abs(b_dir)))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+    def test_matches_direct_oracle_off_the_unit_circle(self, n):
+        # sum_p c_p e^{j omega_p q} = 2 x[q] is an identity of the transforms,
+        # so the fast route must not lean on |x| = 1
+        rng = np.random.default_rng(200 + n)
+        for _ in range(10):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            a_fast, b_fast = ab_all_fast(x)
+            a_dir, b_dir = ab_all_direct(x)
+            assert np.all(np.abs(a_fast - a_dir) <= 1e-8 * np.maximum(1.0, np.abs(a_dir)))
+            assert np.all(np.abs(b_fast - b_dir) <= 1e-8 * np.maximum(1.0, np.abs(b_dir)))
+
+    def test_one_forward_and_two_inverse_transforms(self, monkeypatch):
+        calls = {"fft": 0, "ifft": 0}
+        for name in calls:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        ab_all_fast(random_unimodular(16, np.random.default_rng(3)))
+        assert calls == {"fft": 1, "ifft": 2}
+
     def test_direct_batch_equals_per_q_composition(self):
         # variables on both sides of the first block edge of ab_all_direct
         rng = np.random.default_rng(77)
