@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from unipol.metrics import UnimodularSequence, as_values
-from unipol.solver import RunTrace, SolverConfig, _check_length, _run_loop
+from unipol.solver import RunTrace, SolverConfig, _check_int, _run_loop
 
 __all__ = ["FAMILIES", "BARKER_CODES", "generate", "can_run"]
 
@@ -33,10 +33,12 @@ def generate(family: str, n: int) -> UnimodularSequence:
     golomb: quadratic phase pi*m*(m+1)/n.
     chu:    quadratic phase pi*m^2/n for even n, pi*m*(m+1)/n for odd n.
     p4:     quadratic phase pi*m*(m-n)/n.
+
+    The last three share the law pi*m*(m+s)/n with s = 1, n mod 2 and -n.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    _check_length(n)
+    _check_int("n", n, 1)
     m = np.arange(n)
 
     if family == "barker":
@@ -44,20 +46,15 @@ def generate(family: str, n: int) -> UnimodularSequence:
             raise ValueError(
                 f"barker supports lengths {sorted(BARKER_CODES)} only, not {n}"
             )
-        return UnimodularSequence(np.asarray(BARKER_CODES[n], dtype=complex))
+        return UnimodularSequence(BARKER_CODES[n])
     if family == "frank":
         root = round(n**0.5)
         if root * root != n or root < 2:
             raise ValueError(f"frank needs a square length L^2 with L >= 2, not {n}")
         row, col = np.divmod(m, root)
         return UnimodularSequence(np.exp(2j * np.pi * row * col / root))
-    if family == "golomb":
-        return UnimodularSequence(np.exp(1j * np.pi * m * (m + 1) / n))
-    if family == "chu":
-        phase = m * m if n % 2 == 0 else m * (m + 1)
-        return UnimodularSequence(np.exp(1j * np.pi * phase / n))
-    # p4
-    return UnimodularSequence(np.exp(1j * np.pi * m * (m - n) / n))
+    shift = {"golomb": 1, "chu": n % 2, "p4": -n}[family]
+    return UnimodularSequence(np.exp(1j * np.pi * m * (m + shift) / n))
 
 
 def _can_step(x: UnimodularSequence) -> UnimodularSequence:

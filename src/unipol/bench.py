@@ -9,7 +9,6 @@ auto, 1 = sequential); a value that is not an integer >= 0 is an error.
 
 from __future__ import annotations
 
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from unipol.baselines import can_run
-from unipol.solver import SolverConfig, run
+from unipol.solver import SolverConfig, _check_int, run
 
 __all__ = ["BenchRow", "DEFAULT_LENGTHS", "run_bench", "rows_to_csv"]
 
@@ -84,18 +83,22 @@ def run_bench(
     base_seed: int = 0,
     tol: float = 0.0,
 ) -> list[BenchRow]:
-    """Run the full (algo, N, trial) matrix and return rows in deterministic order."""
+    """Run the full (algo, N, trial) matrix and return rows in deterministic order.
+
+    An empty or unknown algorithm list, an empty length list, a length that
+    is not an integer >= 2 or runs that is not an integer >= 1 raises
+    ValueError before any trial runs; SolverConfig checks iters and tol.
+    """
     if not algos:
         raise ValueError("empty algorithm list")
     for algo in algos:
         if algo not in _RUNNERS:
             raise ValueError(f"unknown algorithm {algo!r}; choose from {sorted(_RUNNERS)}")
-    if not isinstance(runs, numbers.Integral):
-        raise ValueError(f"runs must be an integer, got {runs!r}")
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    if any(n < 2 for n in lengths):
-        raise ValueError("benchmark lengths must be >= 2")
+    if not lengths:
+        raise ValueError("empty length list")
+    for n in lengths:
+        _check_int("length", n, 2)
+    _check_int("runs", runs, 1)
 
     tasks = [
         (algo, n, base_seed + trial)

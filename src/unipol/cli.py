@@ -29,12 +29,9 @@ class UsageError(Exception):
 
 def _parse_lengths(text: str) -> list[int]:
     try:
-        lengths = [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"bad length list {text!r}") from None
-    if not lengths:
-        raise UsageError("empty length list")
-    return lengths
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -45,10 +45,8 @@ class SequenceFileError(ValueError):
 
 def sequence_file_text(seq: Union[UnimodularSequence, np.ndarray]) -> str:
     """Render one sequence as the CSV phase table."""
-    if not isinstance(seq, UnimodularSequence):
-        seq = UnimodularSequence(np.asarray(seq, dtype=complex))
     lines = [_HEADER]
-    for i, theta in enumerate(seq.phases):
+    for i, theta in enumerate(UnimodularSequence(seq).phases):
         lines.append(f"{i},{theta:.17g},{math.cos(theta):.17g},{math.sin(theta):.17g}")
     return "\n".join(lines) + "\n"
 

@@ -43,18 +43,14 @@ _FFT_THRESHOLD = 64
 class UnimodularSequence:
     """A length-N complex sequence with every element on the unit circle.
 
-    Values are copied and frozen at construction; instances are immutable
-    and safe to share across threads.
+    Values (anything as_values accepts) are copied and frozen at
+    construction; instances are immutable and safe to share across threads.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.complex128)
-        if arr.ndim != 1:
-            raise ValueError(f"expected a 1-D sequence, got shape {arr.shape}")
-        if arr.size == 0:
-            raise ValueError("a unimodular sequence needs at least one element")
+        arr = np.array(as_values(self.values))
         dev = float(np.max(np.abs(np.abs(arr) - 1.0)))
         if not dev <= UNIT_MODULUS_TOL:  # also rejects NaN elements
             raise ValueError(f"element modulus deviates from 1 by {dev:.3e}")
@@ -116,9 +112,8 @@ def isl_time(x) -> float:
 
 def isl_freq(x) -> float:
     """Integrated sidelobe level from the 2N-point spectrum (Parseval route)."""
-    v = as_values(x)
-    n = v.size
-    power = np.abs(np.fft.fft(v, 2 * n)) ** 2
+    power = np.abs(spectrum_2n(x)) ** 2
+    n = power.size // 2
     return float(np.sum((power - n) ** 2) / (4 * n))
 
 
@@ -128,18 +123,14 @@ def isl_quartic(x) -> float:
     For unimodular x this equals 4N*isl_time(x) + 2N^3, so minimizing it
     minimizes the ISL; it is the objective the per-iteration majorizer bounds.
     """
-    v = as_values(x)
-    n = v.size
-    power = np.abs(np.fft.fft(v, 2 * n)) ** 2
+    power = np.abs(spectrum_2n(x)) ** 2
     return float(np.sum(power**2))
 
 
 def psl(x) -> float:
     """Peak sidelobe level max_{k>=1} |r_k| (0.0 for N = 1: no sidelobes)."""
     r = autocorrelation(x)
-    if r.size == 1:
-        return 0.0
-    return float(np.max(np.abs(r[1:])))
+    return float(np.max(np.abs(r[1:]), initial=0.0))
 
 
 def merit_factor(x) -> float:

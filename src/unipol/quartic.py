@@ -139,10 +139,12 @@ def minimize_batch(a, b) -> np.ndarray:
     |a| + |b| = 1 that gap is an absolute 1e-12, so a tie whose two values
     differ only by rounding may go to either minimizer. A row is constant
     exactly when its anchored leading coefficient is 0, that is a = b = 0,
-    and returns 0.0.
+    and returns 0.0. a and b are scalars or 1-D arrays of one shape.
     """
     a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
     b = np.atleast_1d(np.asarray(b, dtype=np.complex128))
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"a and b must be 1-D of one shape, got {a.shape} and {b.shape}")
     phi, coeffs = _anchor(a, b)
 
     # phi + 2*arctan(beta) lies in (-pi, 3*pi). A hair-below-zero angle rounds

@@ -27,18 +27,20 @@ __all__ = ["SolverConfig", "RunTrace", "init_random", "unipol_step", "run"]
 PHASE_RANGES = ("full", "unit")
 
 
-def _check_length(n) -> None:
-    """Raise ValueError unless the sequence length n is an integer >= 1."""
-    if not isinstance(n, numbers.Integral):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("sequence length must be >= 1")
+def _check_int(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer (numpy integers included) >= least."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters shared by the MM driver and the baselines.
 
+    n and max_iterations are integers >= 1, seed an integer >= 0 and
+    rel_tolerance a finite real >= 0; other values raise ValueError.
     rel_tolerance = 0 (the default) runs the fixed max_iterations budget;
     a positive value stops after 3 consecutive iterations whose relative ISL
     decrease falls below it. phase_range picks the initial phase law:
@@ -52,16 +54,12 @@ class SolverConfig:
     phase_range: str = "full"
 
     def __post_init__(self):
-        _check_length(self.n)
-        for name in ("max_iterations", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 0.0 <= self.rel_tolerance < math.inf:
+        _check_int("n", self.n, 1)
+        _check_int("max_iterations", self.max_iterations, 1)
+        _check_int("seed", self.seed, 0)
+        tol = self.rel_tolerance
+        if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
             raise ValueError("rel_tolerance must be finite and >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
         if self.phase_range not in PHASE_RANGES:
             raise ValueError(f"phase_range must be one of {PHASE_RANGES}")
 
@@ -88,8 +86,9 @@ class RunTrace:
 
 
 def init_random(n: int, seed: int, phase_range: str = "full") -> UnimodularSequence:
-    """Seeded random unimodular sequence; identical inputs give identical output."""
-    _check_length(n)
+    """Seeded random unimodular sequence for integers n >= 1, seed >= 0; reproducible."""
+    _check_int("n", n, 1)
+    _check_int("seed", seed, 0)
     if phase_range not in PHASE_RANGES:
         raise ValueError(f"phase_range must be one of {PHASE_RANGES}")
     width = 2.0 * np.pi if phase_range == "full" else 1.0
@@ -107,7 +106,7 @@ def unipol_step(xt, fast_path: bool = True) -> UnimodularSequence:
     """
     v = as_values(xt)
     if v.size == 1:
-        return xt if isinstance(xt, UnimodularSequence) else UnimodularSequence(v)
+        return UnimodularSequence(v)
     a, b = ab_all_fast(v) if fast_path else ab_all_direct(v)
     return UnimodularSequence.from_phases(minimize_batch(a, b))
 
@@ -118,12 +117,9 @@ def _run_loop(
     init: Optional[UnimodularSequence],
 ) -> RunTrace:
     """Shared iteration/trace/stopping loop for the MM driver and baselines."""
-    if init is None:
-        x = init_random(cfg.n, cfg.seed, cfg.phase_range)
-    else:
-        x = init if isinstance(init, UnimodularSequence) else UnimodularSequence(as_values(init))
-        if len(x) != cfg.n:
-            raise ValueError(f"init has length {len(x)}, config says {cfg.n}")
+    x = init_random(cfg.n, cfg.seed, cfg.phase_range) if init is None else UnimodularSequence(init)
+    if len(x) != cfg.n:
+        raise ValueError(f"init has length {len(x)}, config says {cfg.n}")
 
     isl = [isl_time(x)]
     durations = []

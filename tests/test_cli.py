@@ -326,6 +326,23 @@ class TestBenchCommand:
         with pytest.raises(ValueError, match="runs must be an integer"):
             run_bench(["unipol"], [16], runs=runs, iters=2)
 
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [(["16"], "length must be an integer"), ([16.0], "length must be an integer"),
+         ([16, 1], "length must be >= 2"), ([], "empty length list")],
+    )
+    def test_bad_lengths_value_error(self, lengths, message):
+        with pytest.raises(ValueError, match=message):
+            run_bench(["can"], lengths, runs=1, iters=1)
+
+    @pytest.mark.parametrize("lengths", [",", " , "])
+    def test_empty_lengths_usage_error(self, capsys, lengths):
+        rc = main(["bench", "--algos", "can", "--lengths", lengths, "--runs", "1", "--iters", "2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "empty length list" in captured.err
+        assert captured.out == ""
+
     def test_numpy_integer_runs(self):
         rows = run_bench(["unipol"], [16], runs=np.int64(2), iters=2)
         assert [row.seed for row in rows] == [0, 1]

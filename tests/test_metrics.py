@@ -5,6 +5,7 @@ import pytest
 
 from unipol.metrics import (
     UnimodularSequence,
+    as_values,
     autocorrelation,
     isl_freq,
     isl_quartic,
@@ -47,6 +48,24 @@ class TestUnimodularSequence:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             UnimodularSequence(np.array([], dtype=complex))
+
+    @pytest.mark.parametrize("case", ["sequence", "2-D", "empty"])
+    def test_one_coercion(self, case):
+        """The constructor accepts what as_values accepts and rejects the rest alike."""
+        x = np.exp(1j * np.array([0.1, 2.0, 4.0]))
+        if case == "sequence":
+            inner = UnimodularSequence(x)
+            seq = UnimodularSequence(inner)
+            assert np.array_equal(seq.values, x)
+            assert not np.shares_memory(seq.values, inner.values)
+            assert not seq.values.flags.writeable
+            return
+        bad = x.reshape(1, 3) if case == "2-D" else x[:0]
+        with pytest.raises(ValueError) as coerced:
+            as_values(bad)
+        with pytest.raises(ValueError) as built:
+            UnimodularSequence(bad)
+        assert str(built.value) == str(coerced.value)
 
     def test_values_frozen(self):
         seq = UnimodularSequence(np.array([1.0 + 0j, -1.0]))

@@ -193,6 +193,20 @@ class TestMinimizeBatch:
         singles = np.array([minimize_single(ai, bi) for ai, bi in zip(a, b)])
         assert np.array_equal(batch, singles)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(np.ones(3), np.ones(1)), (np.ones(1), np.ones(3)), (np.ones((2, 2)), np.ones((2, 2))),
+         (np.ones(4), np.ones((2, 2)))],
+    )
+    def test_rejects_unpaired_rows(self, a, b):
+        with pytest.raises(ValueError, match="1-D of one shape"):
+            minimize_batch(a, b)
+
+    def test_scalar_rows(self):
+        theta = minimize_batch(1.0 + 0j, 0.0)
+        assert theta.shape == (1,)
+        assert theta[0] == minimize_single(1.0 + 0j, 0.0)
+
     def test_degenerate_rows_use_fallback(self):
         a = np.array([0.0 + 0j, 1.0 + 0j])
         b = np.array([0.0 + 0j, 0.0 + 0j])

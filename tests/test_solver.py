@@ -28,6 +28,8 @@ class TestSolverConfig:
             dict(n=10.0),
             dict(n=5, max_iterations=2.5),
             dict(n=5, seed=1.5),
+            dict(n=5, rel_tolerance="0.1"),
+            dict(n=5, rel_tolerance=None),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -65,6 +67,18 @@ class TestInitRandom:
     @pytest.mark.parametrize("n", [np.int64(5), np.int32(5), np.uint8(5)])
     def test_numpy_integer_length(self, n):
         assert np.array_equal(init_random(n, 4).values, init_random(5, 4).values)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(1.5, "seed must be an integer"), ("3", "seed must be an integer"),
+         (None, "seed must be an integer"), (-1, "seed must be >= 0")],
+    )
+    def test_rejects_bad_seed(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            init_random(5, seed)
+
+    def test_numpy_integer_seed(self):
+        assert np.array_equal(init_random(5, np.int64(4)).values, init_random(5, 4).values)
 
 
 class TestUnipolStep:
