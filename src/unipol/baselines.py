@@ -34,7 +34,8 @@ def generate(family: str, n: int) -> UnimodularSequence:
     chu:    quadratic phase pi*m^2/n for even n, pi*m*(m+1)/n for odd n.
     p4:     quadratic phase pi*m*(m-n)/n.
 
-    The last three share the law pi*m*(m+s)/n with s = 1, n mod 2 and -n.
+    The last three share the law pi*m*(m+s)/n with s = 1, n mod 2 and -n. Each
+    integer numerator is reduced mod 2n (L for frank) first, so rounding does not grow with n.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
@@ -52,9 +53,9 @@ def generate(family: str, n: int) -> UnimodularSequence:
         if root * root != n or root < 2:
             raise ValueError(f"frank needs a square length L^2 with L >= 2, not {n}")
         row, col = np.divmod(m, root)
-        return UnimodularSequence(np.exp(2j * np.pi * row * col / root))
+        return UnimodularSequence(np.exp(2j * np.pi * (row * col % root) / root))
     shift = {"golomb": 1, "chu": n % 2, "p4": -n}[family]
-    return UnimodularSequence(np.exp(1j * np.pi * m * (m + shift) / n))
+    return UnimodularSequence(np.exp(1j * np.pi * (m * (m + shift) % (2 * n)) / n))
 
 
 def _can_step(x: UnimodularSequence) -> UnimodularSequence:

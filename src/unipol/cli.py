@@ -92,15 +92,14 @@ def cmd_design(args) -> int:
             seed=args.seed,
             phase_range=args.phase_range,
         )
-    except ValueError as exc:
+        seq_path = args.seq_out
+        if seq_path is None and args.output is not None:
+            seq_path = str(Path(args.output).with_suffix(".seq.csv"))
+    except ValueError as exc:  # also an --output with no file name, such as '' or '.'
         raise UsageError(str(exc)) from None
 
     trace = run(cfg) if args.algo == "unipol" else can_run(cfg)
     record = io_mod.run_record_dict(args.algo, trace)
-
-    seq_path = args.seq_out
-    if seq_path is None and args.output is not None:
-        seq_path = str(Path(args.output).with_suffix(".seq.csv"))
 
     if args.output is not None:
         io_mod.write_run_record(args.output, record)

@@ -28,8 +28,8 @@ PHASE_RANGES = ("full", "unit")
 
 
 def _check_int(name: str, value, least: int) -> None:
-    """Raise ValueError unless value is an integer (numpy integers included) >= least."""
-    if not isinstance(value, numbers.Integral):
+    """Raise ValueError unless value is a non-bool integer (numpy ones included) >= least."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}")

@@ -69,7 +69,7 @@ class TestGenerate:
         assert np.max(np.abs(np.abs(seq.values) - 1.0)) <= 1e-15
 
     @pytest.mark.parametrize("family", ["chu", "golomb", "p4", "barker", "frank"])
-    @pytest.mark.parametrize("n", [10.5, 16.0, np.float64(13.0), "13", None])
+    @pytest.mark.parametrize("n", [10.5, 16.0, np.float64(13.0), "13", None, True, False])
     def test_rejects_non_integer_length(self, family, n):
         with pytest.raises(ValueError, match="must be an integer"):
             generate(family, n)
@@ -85,6 +85,17 @@ class TestGenerate:
         seq = generate("p4", n)
         m = np.arange(n)
         assert np.allclose(seq.values, np.exp(1j * np.pi * m * (m - n) / n), atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [("chu", 4096), ("chu", 16383), ("chu", 16384), ("p4", 4096), ("p4", 16383),
+         ("p4", 16384), ("golomb", 16383), ("frank", 4096), ("frank", 16384)],
+    )
+    def test_zero_periodic_sidelobes_at_large_n(self, family, n):
+        # these families are CAZAC; phases reduced before scaling keep that to rounding
+        x = generate(family, n).values
+        periodic = np.fft.ifft(np.abs(np.fft.fft(x)) ** 2)
+        assert np.max(np.abs(periodic[1:])) / n <= 1e-15
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):

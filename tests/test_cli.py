@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from unipol import cli
 from unipol.baselines import generate
 from unipol.bench import run_bench
 from unipol.cli import main
@@ -169,6 +170,15 @@ class TestDesignCommand:
         assert rc == 2
         assert "rel_tolerance" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("output", ["", ".", "/"])
+    def test_output_without_file_name_usage_error(self, monkeypatch, capsys, output):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *args: calls.append(args))
+        rc = main(["design", "-N", "8", "--iters", "3", "-o", output])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert calls == []
 
     def test_tolerance_stop_shortens_trace(self, tmp_path):
         out = tmp_path / "tol.json"

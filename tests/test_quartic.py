@@ -202,6 +202,15 @@ class TestMinimizeBatch:
         with pytest.raises(ValueError, match="1-D of one shape"):
             minimize_batch(a, b)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [([np.nan, 1.0], [1.0, np.inf]), ([np.nan], [0.0]), ([1.0], [-np.inf]),
+         ([complex(1.0, np.nan)], [1.0]), (np.inf, 0.0)],
+    )
+    def test_rejects_non_finite_rows(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            minimize_batch(np.asarray(a), np.asarray(b))
+
     def test_scalar_rows(self):
         theta = minimize_batch(1.0 + 0j, 0.0)
         assert theta.shape == (1,)

@@ -30,6 +30,9 @@ class TestSolverConfig:
             dict(n=5, seed=1.5),
             dict(n=5, rel_tolerance="0.1"),
             dict(n=5, rel_tolerance=None),
+            dict(n=True),
+            dict(n=5, max_iterations=True),
+            dict(n=5, seed=False),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -59,7 +62,7 @@ class TestInitRandom:
     def test_seed_changes_output(self):
         assert not np.array_equal(init_random(8, 1).values, init_random(8, 2).values)
 
-    @pytest.mark.parametrize("n", [2.5, 5.0, np.float64(5.0), "5", None])
+    @pytest.mark.parametrize("n", [2.5, 5.0, np.float64(5.0), "5", None, True, False])
     def test_rejects_non_integer_length(self, n):
         with pytest.raises(ValueError, match="must be an integer"):
             init_random(n, 0)
