@@ -15,16 +15,12 @@ from unipol.metrics import (
     UnimodularSequence,
     autocorrelation,
     isl_freq,
-    isl_quartic,
     isl_time,
     merit_factor,
     psl,
     sidelobe_db,
-    spectrum_2n,
 )
-from unipol.quartic import minimize_batch, minimize_single
-from unipol.solver import RunTrace, SolverConfig, init_random, run, unipol_step
-from unipol.surrogate import ab_all_direct, ab_all_fast, surrogate_value
+from unipol.solver import RunTrace, SolverConfig, init_random, run
 
 __version__ = "0.1.0"
 
@@ -34,22 +30,14 @@ __all__ = [
     "RunTrace",
     "SolverConfig",
     "UnimodularSequence",
-    "ab_all_direct",
-    "ab_all_fast",
     "autocorrelation",
     "can_run",
     "generate",
     "init_random",
     "isl_freq",
-    "isl_quartic",
     "isl_time",
     "merit_factor",
-    "minimize_batch",
-    "minimize_single",
     "psl",
     "run",
     "sidelobe_db",
-    "spectrum_2n",
-    "surrogate_value",
-    "unipol_step",
 ]

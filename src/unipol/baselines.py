@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from unipol.metrics import UnimodularSequence, as_values
+from unipol.metrics import UnimodularSequence, as_values, spectrum_2n
 from unipol.solver import RunTrace, SolverConfig, _check_int, _run_loop
 
 __all__ = ["FAMILIES", "BARKER_CODES", "generate", "can_run"]
@@ -62,7 +62,7 @@ def _can_step(x: UnimodularSequence) -> UnimodularSequence:
     """One CAN alternating projection: flatten the 2N-point spectrum, then the moduli."""
     v = as_values(x)
     n = v.size
-    spec = np.fft.fft(v, 2 * n)
+    spec = spectrum_2n(v)
     mag = np.abs(spec)
     flat = np.where(mag > 0.0, spec / np.where(mag > 0.0, mag, 1.0), 1.0)
     z = np.fft.ifft(flat)[:n]

@@ -62,13 +62,12 @@ def worker_count(n_tasks: int) -> int:
     return max(1, min(configured, n_tasks))
 
 
-def _one_trial(algo: str, n: int, seed: int, iters: int, tol: float) -> BenchRow:
-    cfg = SolverConfig(n=n, max_iterations=iters, rel_tolerance=tol, seed=seed)
+def _one_trial(algo: str, cfg: SolverConfig) -> BenchRow:
     trace = _RUNNERS[algo](cfg)
     return BenchRow(
         algo=algo,
-        n=n,
-        seed=seed,
+        n=cfg.n,
+        seed=cfg.seed,
         iterations=trace.iterations_run,
         final_isl=float(trace.isl_per_iteration[-1]),
         total_seconds=float(np.sum(trace.wall_time_per_iteration)),
@@ -86,8 +85,8 @@ def run_bench(
     """Run the full (algo, N, trial) matrix and return rows in deterministic order.
 
     An empty or unknown algorithm list, an empty length list, a length that
-    is not an integer >= 2 or runs that is not an integer >= 1 raises
-    ValueError before any trial runs; SolverConfig checks iters and tol.
+    is not an integer >= 2, runs that is not an integer >= 1, or an iters, tol
+    or seed that SolverConfig rejects raises ValueError before any trial runs.
     """
     if not algos:
         raise ValueError("empty algorithm list")
@@ -101,13 +100,13 @@ def run_bench(
     _check_int("runs", runs, 1)
 
     tasks = [
-        (algo, n, base_seed + trial)
+        (algo, SolverConfig(n=n, max_iterations=iters, rel_tolerance=tol, seed=base_seed + trial))
         for algo in algos
         for n in lengths
         for trial in range(runs)
     ]
     with ThreadPoolExecutor(max_workers=worker_count(len(tasks))) as pool:
-        futures = [pool.submit(_one_trial, a, n, s, iters, tol) for a, n, s in tasks]
+        futures = [pool.submit(_one_trial, algo, cfg) for algo, cfg in tasks]
         return [f.result() for f in futures]
 
 

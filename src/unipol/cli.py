@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +32,18 @@ def _parse_lengths(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"bad length list {text!r}") from None
+
+
+def _check_outputs(*paths) -> None:
+    """Before any work: a path with no file name is a usage error, an unwritable one an OSError."""
+    for path in (p for p in paths if p is not None):
+        folder, name = os.path.split(path)
+        if name in ("", ".", ".."):
+            raise UsageError(f"output path {path!r} has no file name")
+        if not os.path.isdir(folder or "."):
+            raise FileNotFoundError(f"no such directory: {folder!r}")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"is a directory: {path!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,24 +104,23 @@ def cmd_design(args) -> int:
             seed=args.seed,
             phase_range=args.phase_range,
         )
-        seq_path = args.seq_out
-        if seq_path is None and args.output is not None:
-            seq_path = str(Path(args.output).with_suffix(".seq.csv"))
-    except ValueError as exc:  # also an --output with no file name, such as '' or '.'
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
+    seq_path = args.seq_out
+    if seq_path is None and args.output is not None:
+        seq_path = os.path.splitext(args.output)[0] + ".seq.csv"
+    _check_outputs(args.output, seq_path)
 
     trace = run(cfg) if args.algo == "unipol" else can_run(cfg)
     record = io_mod.run_record_dict(args.algo, trace)
 
-    if args.output is not None:
-        io_mod.write_run_record(args.output, record)
     if seq_path is not None:
         io_mod.write_sequence_file(seq_path, trace.final_sequence)
-
     if args.output is None:
         json.dump(record, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
+        io_mod.write_run_record(args.output, record)
         print(
             f"{args.algo}: N={cfg.n} iterations={trace.iterations_run} "
             f"isl {record['islTrace'][0]:.6g} -> {record['finalIsl']:.6g} "
@@ -164,6 +175,7 @@ def cmd_generate(args) -> int:
 def cmd_bench(args) -> int:
     algos = [tok.strip() for tok in args.algos.split(",") if tok.strip()]
     lengths = _parse_lengths(args.lengths)
+    _check_outputs(args.output)
     try:
         rows = bench_mod.run_bench(
             algos=algos,

@@ -1,7 +1,7 @@
 """Sequence types and exact sidelobe metrics.
 
 Aperiodic autocorrelation, integrated/peak sidelobe levels, merit factor,
-and the 2N-point spectrum backing the frequency-domain identities:
+and the 2N-point spectrum (the package's one forward FFT) behind the identities:
 
     isl_freq(x)    = (1/4N) * sum_p (|X_p|^2 - N)^2 = isl_time(x)
     isl_quartic(x) = sum_p |X_p|^4 = 4N * isl_time(x) + 2N^3
@@ -100,7 +100,7 @@ def autocorrelation(x) -> np.ndarray:
     n = v.size
     if n <= _FFT_THRESHOLD:
         return np.correlate(v, v, mode="full")[n - 1 :]
-    spec = np.fft.fft(v, 2 * n)
+    spec = spectrum_2n(v)
     return np.fft.ifft(spec * np.conj(spec))[:n]
 
 

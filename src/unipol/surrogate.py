@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from unipol.metrics import as_values
+from unipol.metrics import as_values, spectrum_2n
 
 __all__ = [
     "ab_all_direct",
@@ -40,7 +40,7 @@ def _alphas(v: np.ndarray, q: np.ndarray) -> np.ndarray:
     same alpha values bit for bit.
     """
     n = v.size
-    c = np.fft.fft(v, 2 * n) / n
+    c = spectrum_2n(v) / n
     omega = np.pi * np.arange(2 * n) / n
     return v[q, None] - c[None, :] * np.exp(1j * np.outer(q, omega))
 
@@ -83,7 +83,7 @@ def ab_all_fast(xt) -> tuple[np.ndarray, np.ndarray]:
     """
     v = as_values(xt)
     n = v.size
-    c = np.fft.fft(v, 2 * n) / n
+    c = spectrum_2n(v) / n
     cmag2 = np.abs(c) ** 2
     s3 = (2 * n * np.fft.ifft(cmag2 * c))[:n]
     c2 = c * c

@@ -64,3 +64,44 @@ def test_no_dependency_beyond_numpy():
                 imported.add(node.module.split(".")[0])
     assert "numpy" in imported  # the walk saw the imports
     assert imported <= allowed, sorted(imported - allowed)
+
+
+USER_API = {
+    "SolverConfig", "RunTrace", "UnimodularSequence", "run", "can_run", "init_random",
+    "generate", "FAMILIES", "BARKER_CODES",
+    "autocorrelation", "isl_time", "isl_freq", "psl", "merit_factor", "sidelobe_db",
+}
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("surrogate", "ab_all_direct"), ("surrogate", "ab_all_fast"), ("surrogate", "surrogate_value"),
+     ("metrics", "isl_quartic"), ("metrics", "spectrum_2n"), ("quartic", "minimize_batch"),
+     ("quartic", "minimize_single"), ("solver", "unipol_step")],
+)
+def test_kernels_live_in_their_modules(module, name):
+    assert name in importlib.import_module(f"unipol.{module}").__all__
+    assert not hasattr(unipol, name)
+
+
+def test_package_root_is_the_user_api():
+    assert sorted(unipol.__all__) == sorted(USER_API)
+
+
+def test_forward_transform_has_one_home():
+    """np.fft.fft is called only inside metrics.spectrum_2n, the zero-padded 2N-point spectrum."""
+    sites = []
+    for path in sorted(Path(unipol.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for func in ast.walk(tree):  # breadth first, so a nested function claims its own body
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        sites += [
+            f"{path.stem}.{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "fft"
+        ]
+    assert sites == ["metrics.spectrum_2n"]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from unipol import bench as bench_mod
 from unipol import cli
 from unipol.baselines import generate
 from unipol.bench import run_bench
@@ -391,3 +392,80 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert "UNIPOL_THREADS" in captured.err
         assert captured.out == ""
+
+
+class TestOutputPathsCheckedFirst:
+    """Every output path is checked before any solve or bench starts, and nothing is written."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the output paths were checked")
+
+        for name in ("run", "can_run"):
+            monkeypatch.setattr(cli, name, fail)
+        monkeypatch.setattr(cli.bench_mod, "run_bench", fail)
+
+    def _design(self, *flags):
+        return main(["design", "-N", "8", "--iters", "3", *flags])
+
+    @pytest.mark.parametrize("seq_out", ["", "/", "sub/"])
+    def test_seq_out_without_file_name(self, tmp_path, capsys, seq_out):
+        out = tmp_path / "r.json"
+        assert self._design("-o", str(out), "--seq-out", seq_out) == 2
+        assert "no file name" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_record_with_seq_out(self, tmp_path, capsys):
+        assert self._design("-o", "", "--seq-out", str(tmp_path / "x.csv")) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_record_in_missing_directory(self, tmp_path, capsys):
+        assert self._design("-o", str(tmp_path / "missing" / "r.json")) == 1
+        assert "no such directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seq_out_in_missing_directory_without_record(self, tmp_path, capsys):
+        assert self._design("--seq-out", str(tmp_path / "missing" / "x.csv")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no such directory" in captured.err
+
+    def test_seq_out_names_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert self._design("-o", str(out), "--seq-out", str(tmp_path)) == 1
+        assert "is a directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_output_in_missing_directory(self, tmp_path, capsys):
+        rc = main(["bench", "--algos", "can", "--lengths", "16", "--runs", "1", "--iters", "2",
+                   "-o", str(tmp_path / "missing" / "b.csv")])
+        assert rc == 1
+        assert capsys.readouterr().out == ""
+
+
+class TestErrorBranches:
+    def test_unknown_bench_algorithm(self, capsys):
+        rc = main(["bench", "--algos", "foo", "--lengths", "16", "--runs", "1", "--iters", "2"])
+        assert rc == 2
+        assert "unknown algorithm" in capsys.readouterr().err
+
+    def test_bad_length_list(self, capsys):
+        rc = main(["bench", "--lengths", "1,x", "--runs", "1", "--iters", "2"])
+        assert rc == 2
+        assert "bad length list" in capsys.readouterr().err
+
+    def test_header_only_sequence_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("index,phase,re,im\n")
+        assert main(["metrics", str(path)]) == 1
+        assert "row 2: no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kwargs", [{"iters": 0}, {"iters": 2.5}, {"tol": -1.0},
+                                        {"tol": math.nan}, {"base_seed": -1}])
+    def test_run_bench_rejects_config_before_any_trial(self, monkeypatch, kwargs):
+        calls = []
+        monkeypatch.setattr(bench_mod, "_one_trial", lambda *args: calls.append(args))
+        with pytest.raises(ValueError):
+            run_bench(["unipol"], [8], runs=2, **{"iters": 2, **kwargs})
+        assert calls == []

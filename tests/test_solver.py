@@ -83,6 +83,10 @@ class TestInitRandom:
     def test_numpy_integer_seed(self):
         assert np.array_equal(init_random(5, np.int64(4)).values, init_random(5, 4).values)
 
+    def test_rejects_unknown_phase_range(self):
+        with pytest.raises(ValueError, match="phase_range must be one of"):
+            init_random(5, 0, "narrow")
+
 
 class TestUnipolStep:
     def test_n1_keeps_input(self):
