@@ -39,7 +39,7 @@ def generate(family: str, n: int) -> UnimodularSequence:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    _check_int("n", n, 1)
+    n = _check_int("n", n, 1)
     m = np.arange(n)
 
     if family == "barker":

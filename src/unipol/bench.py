@@ -98,6 +98,7 @@ def run_bench(
     for n in lengths:
         _check_int("length", n, 2)
     _check_int("runs", runs, 1)
+    base_seed = _check_int("seed", base_seed, 0)  # a numpy uint8 would wrap in base_seed + trial
 
     tasks = [
         (algo, SolverConfig(n=n, max_iterations=iters, rel_tolerance=tol, seed=base_seed + trial))

@@ -1,7 +1,7 @@
 """Command-line front end: design | metrics | generate | bench.
 
-Exit codes: 0 success, 1 runtime or I/O failure, 2 usage error. The
-UNIPOL_THREADS environment variable caps benchmark trial concurrency.
+Exit codes, set by ``main`` alone: 0 success, 1 runtime or I/O failure, 2
+usage error (any other ValueError). UNIPOL_THREADS caps bench trial concurrency.
 """
 
 from __future__ import annotations
@@ -23,27 +23,26 @@ from unipol.solver import PHASE_RANGES, SolverConfig, run
 __all__ = ["main"]
 
 
-class UsageError(Exception):
-    """Invalid flag values; maps to exit code 2."""
-
-
 def _parse_lengths(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise UsageError(f"bad length list {text!r}") from None
+        raise ValueError(f"bad length list {text!r}") from None
 
 
 def _check_outputs(*paths) -> None:
-    """Before any work: a path with no file name is a usage error, an unwritable one an OSError."""
-    for path in (p for p in paths if p is not None):
+    """Before any work: a nameless or repeated path is a ValueError, an unwritable one an OSError."""
+    paths = [p for p in paths if p is not None]
+    for path in paths:
         folder, name = os.path.split(path)
         if name in ("", ".", ".."):
-            raise UsageError(f"output path {path!r} has no file name")
+            raise ValueError(f"output path {path!r} has no file name")
         if not os.path.isdir(folder or "."):
             raise FileNotFoundError(f"no such directory: {folder!r}")
         if os.path.isdir(path):
             raise IsADirectoryError(f"is a directory: {path!r}")
+    if len({os.path.realpath(p) for p in paths}) < len(paths):
+        raise ValueError(f"outputs {paths} name the same file")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,16 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_design(args) -> int:
-    try:
-        cfg = SolverConfig(
-            n=args.n,
-            max_iterations=args.iters,
-            rel_tolerance=args.tol,
-            seed=args.seed,
-            phase_range=args.phase_range,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = SolverConfig(
+        n=args.n,
+        max_iterations=args.iters,
+        rel_tolerance=args.tol,
+        seed=args.seed,
+        phase_range=args.phase_range,
+    )
     seq_path = args.seq_out
     if seq_path is None and args.output is not None:
         seq_path = os.path.splitext(args.output)[0] + ".seq.csv"
@@ -141,7 +137,7 @@ def cmd_metrics(args) -> int:
             "N": len(seq),
             "isl": isl,
             "psl": peak,
-            "meritFactor": mf if mf is not None and math.isfinite(mf) else None,
+            "meritFactor": mf,
             "sidelobeDb": [None if not math.isfinite(v) else float(v) for v in db],
         }
         json.dump(report, sys.stdout, indent=2)
@@ -160,10 +156,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        seq = generate(args.family, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    _check_outputs(args.output)
+    seq = generate(args.family, args.n)
     if args.output is not None:
         io_mod.write_sequence_file(args.output, seq)
         print(f"{args.family}: wrote N={len(seq)} sequence to {args.output}")
@@ -176,17 +170,14 @@ def cmd_bench(args) -> int:
     algos = [tok.strip() for tok in args.algos.split(",") if tok.strip()]
     lengths = _parse_lengths(args.lengths)
     _check_outputs(args.output)
-    try:
-        rows = bench_mod.run_bench(
-            algos=algos,
-            lengths=lengths,
-            runs=args.runs,
-            iters=args.iters,
-            base_seed=args.seed,
-            tol=args.tol,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    rows = bench_mod.run_bench(
+        algos=algos,
+        lengths=lengths,
+        runs=args.runs,
+        iters=args.iters,
+        base_seed=args.seed,
+        tol=args.tol,
+    )
     csv_text = bench_mod.rows_to_csv(rows)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -202,13 +193,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except io_mod.SequenceFileError as exc:  # a ValueError, so it comes first; metrics only
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except io_mod.SequenceFileError as exc:
-        print(f"error: {args.input if hasattr(args, 'input') else ''}: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,8 +11,9 @@ decimal: digit-group underscores and non-ASCII digits, which Python's
 A run record is a JSON document with keys {algorithm, N, seed, phaseRange,
 maxIterations, relTolerance, islTrace, timeTraceSeconds, finalPhases,
 finalIsl, finalPsl, meritFactor}. timeTraceSeconds is the cumulative wall
-time with a leading 0.0, pairing 1:1 with islTrace. meritFactor is null when
-undefined (N = 1) or non-finite.
+time with a leading 0.0, pairing 1:1 with islTrace. meritFactor is null only
+for N = 1, where it is undefined. For N >= 2 it is finite: a unimodular
+sequence has |r_{N-1}| = |x_{N-1}| * |x_0| = 1, so ISL >= 1.
 """
 
 from __future__ import annotations
@@ -111,13 +112,6 @@ def read_sequence_file(path) -> UnimodularSequence:
     return UnimodularSequence.from_phases(np.asarray(phases))
 
 
-def _json_merit_factor(seq: UnimodularSequence):
-    if len(seq) < 2:
-        return None
-    value = merit_factor(seq)
-    return value if math.isfinite(value) else None
-
-
 def run_record_dict(algorithm: str, trace: RunTrace) -> dict:
     """Assemble the JSON-ready run record for a finished trace."""
     cfg = trace.config
@@ -134,7 +128,7 @@ def run_record_dict(algorithm: str, trace: RunTrace) -> dict:
         "finalPhases": [float(v) for v in final.phases],
         "finalIsl": float(trace.isl_per_iteration[-1]),
         "finalPsl": float(psl(final)),
-        "meritFactor": _json_merit_factor(final),
+        "meritFactor": merit_factor(final) if cfg.n >= 2 else None,
     }
 
 

@@ -27,12 +27,13 @@ __all__ = ["SolverConfig", "RunTrace", "init_random", "unipol_step", "run"]
 PHASE_RANGES = ("full", "unit")
 
 
-def _check_int(name: str, value, least: int) -> None:
-    """Raise ValueError unless value is a non-bool integer (numpy ones included) >= least."""
+def _check_int(name: str, value, least: int) -> int:
+    """value as a plain int; ValueError unless a non-bool integer (numpy ones too) >= least."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,8 @@ class SolverConfig:
     """Run parameters shared by the MM driver and the baselines.
 
     n and max_iterations are integers >= 1, seed an integer >= 0 and
-    rel_tolerance a finite real >= 0; other values raise ValueError.
+    rel_tolerance a finite non-bool real >= 0; other values raise ValueError.
+    Numpy scalars are accepted and stored as plain int and float.
     rel_tolerance = 0 (the default) runs the fixed max_iterations budget;
     a positive value stops after 3 consecutive iterations whose relative ISL
     decrease falls below it. phase_range picks the initial phase law:
@@ -54,14 +56,17 @@ class SolverConfig:
     phase_range: str = "full"
 
     def __post_init__(self):
-        _check_int("n", self.n, 1)
-        _check_int("max_iterations", self.max_iterations, 1)
-        _check_int("seed", self.seed, 0)
+        plain = {
+            name: _check_int(name, getattr(self, name), least)
+            for name, least in (("n", 1), ("max_iterations", 1), ("seed", 0))
+        }
         tol = self.rel_tolerance
-        if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
             raise ValueError("rel_tolerance must be finite and >= 0")
         if self.phase_range not in PHASE_RANGES:
             raise ValueError(f"phase_range must be one of {PHASE_RANGES}")
+        for name, value in {**plain, "rel_tolerance": float(tol)}.items():
+            object.__setattr__(self, name, value)  # frozen: store the plain int/float
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ class RunTrace:
 
 def init_random(n: int, seed: int, phase_range: str = "full") -> UnimodularSequence:
     """Seeded random unimodular sequence for integers n >= 1, seed >= 0; reproducible."""
-    _check_int("n", n, 1)
+    n = _check_int("n", n, 1)
     _check_int("seed", seed, 0)
     if phase_range not in PHASE_RANGES:
         raise ValueError(f"phase_range must be one of {PHASE_RANGES}")

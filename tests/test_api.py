@@ -105,3 +105,18 @@ def test_forward_transform_has_one_home():
             and node.func.attr == "fft"
         ]
     assert sites == ["metrics.spectrum_2n"]
+
+
+def test_exit_codes_are_set_in_main_alone():
+    """No cmd_* function in cli.py catches an exception; main maps every error to its exit code."""
+    tree = ast.parse(Path(unipol.cli.__file__).read_text(encoding="utf-8"))
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 4  # design, metrics, generate, bench
+    catching = [
+        func.name
+        for func in commands
+        for node in ast.walk(func)
+        if type(node).__name__ in ("Try", "TryStar")
+    ]
+    assert catching == []

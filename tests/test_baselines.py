@@ -74,6 +74,12 @@ class TestGenerate:
         with pytest.raises(ValueError, match="must be an integer"):
             generate(family, n)
 
+    @pytest.mark.parametrize("family", ["chu", "golomb", "p4"])
+    @pytest.mark.parametrize("n", [np.uint8(200), np.int8(100), np.int16(20000)])
+    def test_narrow_numpy_length_matches_python_int(self, family, n):
+        # the phase numerators m*(m+s) overflow a narrow integer type
+        assert np.array_equal(generate(family, n).values, generate(family, int(n)).values)
+
     def test_chu_even_formula(self):
         n = 10
         seq = generate("chu", n)

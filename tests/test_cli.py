@@ -121,6 +121,20 @@ class TestRunRecord:
         record = run_record_dict("unipol", run(SolverConfig(n=1, max_iterations=2)))
         assert record["meritFactor"] is None
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n=np.int64(8)), dict(n=8, max_iterations=np.int32(2)),
+         dict(n=8, rel_tolerance=np.float32(0)), dict(n=8, seed=np.int64(1))],
+    )
+    def test_numpy_scalar_config_writes_json(self, tmp_path, kwargs):
+        cfg = SolverConfig(**{"max_iterations": 2, **kwargs})
+        path = tmp_path / "run.json"
+        write_run_record(path, run_record_dict("unipol", run(cfg)))
+        back = read_run_record(path)
+        assert (back["N"], back["maxIterations"], back["relTolerance"], back["seed"]) == (
+            cfg.n, cfg.max_iterations, cfg.rel_tolerance, cfg.seed
+        )
+
     def test_unipol_trace_non_increasing(self):
         record = run_record_dict("unipol", run(SolverConfig(n=50, max_iterations=30, seed=2)))
         isl = np.asarray(record["islTrace"])
@@ -354,6 +368,10 @@ class TestBenchCommand:
         assert "empty length list" in captured.err
         assert captured.out == ""
 
+    def test_narrow_numpy_base_seed(self):
+        rows = run_bench(["can"], [8], runs=8, iters=1, base_seed=np.uint8(250))
+        assert [row.seed for row in rows] == list(range(250, 258))
+
     def test_numpy_integer_runs(self):
         rows = run_bench(["unipol"], [16], runs=np.int64(2), iters=2)
         assert [row.seed for row in rows] == [0, 1]
@@ -442,6 +460,46 @@ class TestOutputPathsCheckedFirst:
                    "-o", str(tmp_path / "missing" / "b.csv")])
         assert rc == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("seq_out", ["same.json", "./same.json", "sub/../same.json"])
+    def test_outputs_naming_the_same_file(self, tmp_path, monkeypatch, capsys, seq_out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert self._design("-o", "same.json", "--seq-out", seq_out) == 2
+        assert "same file" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+    def test_seq_out_linked_to_the_record(self, tmp_path, capsys):
+        (tmp_path / "link.csv").symlink_to(tmp_path / "r.json")
+        out = tmp_path / "r.json"
+        assert self._design("-o", str(out), "--seq-out", str(tmp_path / "link.csv")) == 2
+        assert "same file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def _generate(self, monkeypatch, output):
+        def fail(*args, **kwargs):
+            raise AssertionError("generate ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "generate", fail)
+        return main(["generate", "--family", "chu", "-N", "8", "-o", output])
+
+    @pytest.mark.parametrize("output", ["", ".", "dir/"])
+    def test_generate_output_without_file_name(self, tmp_path, monkeypatch, capsys, output):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        assert self._generate(monkeypatch, output) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no file name" in captured.err
+        assert list((tmp_path / "dir").iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+
+    def test_generate_output_in_missing_directory(self, tmp_path, monkeypatch, capsys):
+        assert self._generate(monkeypatch, str(tmp_path / "missing" / "g.csv")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no such directory" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestErrorBranches:

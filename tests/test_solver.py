@@ -33,11 +33,26 @@ class TestSolverConfig:
             dict(n=True),
             dict(n=5, max_iterations=True),
             dict(n=5, seed=False),
+            dict(n=5, rel_tolerance=True),
+            dict(n=5, rel_tolerance=False),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(n=np.int64(8)), dict(n=8, max_iterations=np.int32(2)), dict(n=8, seed=np.uint8(3)),
+         dict(n=8, rel_tolerance=np.float32(0.25)), dict(n=8, rel_tolerance=0)],
+    )
+    def test_stores_plain_numbers(self, kwargs):
+        cfg = SolverConfig(**kwargs)
+        assert [type(v) for v in (cfg.n, cfg.max_iterations, cfg.seed, cfg.rel_tolerance)] == [
+            int, int, int, float
+        ]
+        assert cfg == SolverConfig(**{k: v.item() if hasattr(v, "item") else v
+                                      for k, v in kwargs.items()})
 
 
 class TestInitRandom:
