@@ -3,6 +3,7 @@ analytic unimodular families (Barker, Frank, Golomb, Chu, P4)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -76,6 +77,7 @@ def can_run(cfg: SolverConfig, init: Optional[UnimodularSequence] = None) -> Run
 
     CAN alternates unit-modulus projections between the time and 2N-point
     frequency domains. It optimizes a frequency-domain approximation of the
-    ISL, so its ISL trace carries no monotonicity guarantee.
+    ISL, so its ISL trace carries no monotonicity guarantee. It always runs
+    plain: the trace's config says accel="none" whatever cfg.accel holds.
     """
-    return _run_loop(_can_step, cfg, init)
+    return _run_loop(_can_step, replace(cfg, accel="none"), init)

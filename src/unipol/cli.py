@@ -18,7 +18,7 @@ from unipol import bench as bench_mod
 from unipol import io as io_mod
 from unipol.baselines import FAMILIES, can_run, generate
 from unipol.metrics import autocorrelation, isl_time, merit_factor, psl, sidelobe_db
-from unipol.solver import PHASE_RANGES, SolverConfig, run
+from unipol.solver import ACCELS, PHASE_RANGES, SolverConfig, run
 
 __all__ = ["main"]
 
@@ -30,8 +30,19 @@ def _parse_lengths(text: str) -> list[int]:
         raise ValueError(f"bad length list {text!r}") from None
 
 
+def _file_identity(path):
+    """(device, inode) of an existing file, so hard links match; else the resolved path."""
+    if os.path.exists(path):
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+    return os.path.realpath(path)
+
+
 def _check_outputs(*paths) -> None:
-    """Before any work: a nameless or repeated path is a ValueError, an unwritable one an OSError."""
+    """Before any work: a nameless or repeated path is a ValueError, an unwritable one an OSError.
+
+    Two paths repeat when they resolve to one name or, if they exist, to one inode.
+    """
     paths = [p for p in paths if p is not None]
     for path in paths:
         folder, name = os.path.split(path)
@@ -41,7 +52,7 @@ def _check_outputs(*paths) -> None:
             raise FileNotFoundError(f"no such directory: {folder!r}")
         if os.path.isdir(path):
             raise IsADirectoryError(f"is a directory: {path!r}")
-    if len({os.path.realpath(p) for p in paths}) < len(paths):
+    if len({_file_identity(p) for p in paths}) < len(paths):
         raise ValueError(f"outputs {paths} name the same file")
 
 
@@ -59,6 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
     design.add_argument("--tol", type=float, default=0.0)
     design.add_argument("--seed", type=int, default=0)
     design.add_argument("--phase-range", choices=PHASE_RANGES, default="full")
+    design.add_argument(
+        "--accel",
+        choices=ACCELS,
+        default="squarem",
+        help="outer scheme of --algo unipol; 'none' is the paper's plain MM (CAN always runs plain)",
+    )
     design.add_argument("-o", "--output", help="run record JSON path (default: stdout)")
     design.add_argument(
         "--seq-out",
@@ -101,6 +118,7 @@ def cmd_design(args) -> int:
         rel_tolerance=args.tol,
         seed=args.seed,
         phase_range=args.phase_range,
+        accel=args.accel,
     )
     seq_path = args.seq_out
     if seq_path is None and args.output is not None:

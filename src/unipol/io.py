@@ -9,10 +9,11 @@ decimal: digit-group underscores and non-ASCII digits, which Python's
 ``int``/``float`` would take, are rejected. A UTF-8 byte-order mark is allowed.
 
 A run record is a JSON document with keys {algorithm, N, seed, phaseRange,
-maxIterations, relTolerance, islTrace, timeTraceSeconds, finalPhases,
-finalIsl, finalPsl, meritFactor}. timeTraceSeconds is the cumulative wall
-time with a leading 0.0, pairing 1:1 with islTrace. meritFactor is null only
-for N = 1, where it is undefined. For N >= 2 it is finite: a unimodular
+maxIterations, relTolerance, accel, islTrace, timeTraceSeconds, finalPhases,
+finalIsl, finalPsl, meritFactor}. accel is the outer scheme the run used,
+"squarem" or "none" (always "none" for CAN). timeTraceSeconds is the
+cumulative wall time with a leading 0.0, pairing 1:1 with islTrace.
+meritFactor is null only for N = 1, where it is undefined. For N >= 2 it is finite: a unimodular
 sequence has |r_{N-1}| = |x_{N-1}| * |x_0| = 1, so ISL >= 1.
 """
 
@@ -123,6 +124,7 @@ def run_record_dict(algorithm: str, trace: RunTrace) -> dict:
         "phaseRange": cfg.phase_range,
         "maxIterations": cfg.max_iterations,
         "relTolerance": cfg.rel_tolerance,
+        "accel": cfg.accel,
         "islTrace": [float(v) for v in trace.isl_per_iteration],
         "timeTraceSeconds": [float(v) for v in trace.cumulative_seconds],
         "finalPhases": [float(v) for v in final.phases],

@@ -173,6 +173,29 @@ class TestDesignCommand:
         assert rc == 0
         assert read_run_record(out)["algorithm"] == "can"
 
+    @pytest.mark.parametrize("accel", ["squarem", "none"])
+    def test_accel_recorded_and_matches_library_run(self, tmp_path, accel):
+        out = tmp_path / "run.json"
+        rc = main(["design", "-N", "20", "--iters", "9", "--seed", "2", "--accel", accel,
+                   "-o", str(out)])
+        assert rc == 0
+        record = read_run_record(out)
+        assert record["accel"] == accel
+        expected = run(SolverConfig(n=20, max_iterations=9, seed=2, accel=accel))
+        assert record["islTrace"] == expected.isl_per_iteration.tolist()
+
+    def test_can_record_says_plain(self, tmp_path):
+        out = tmp_path / "can.json"
+        assert main(["design", "--algo", "can", "-N", "20", "--iters", "5", "-o", str(out)]) == 0
+        assert read_run_record(out)["accel"] == "none"
+
+    def test_unknown_accel_exits_2(self, tmp_path):
+        out = tmp_path / "run.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "-N", "10", "--accel", "bogus", "-o", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["design", "-N", "10", "--bogus"])
@@ -475,6 +498,16 @@ class TestOutputPathsCheckedFirst:
         assert self._design("-o", str(out), "--seq-out", str(tmp_path / "link.csv")) == 2
         assert "same file" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("order", ["record first", "sequence first"])
+    def test_seq_out_hard_linked_to_the_record(self, tmp_path, capsys, order):
+        out, seq = tmp_path / "r.json", tmp_path / "h.csv"
+        first, second = (out, seq) if order == "record first" else (seq, out)
+        first.write_text("keep\n")
+        second.hardlink_to(first)
+        assert self._design("-o", str(out), "--seq-out", str(seq)) == 2
+        assert "same file" in capsys.readouterr().err
+        assert out.read_text() == seq.read_text() == "keep\n"
 
     def _generate(self, monkeypatch, output):
         def fail(*args, **kwargs):

@@ -1,5 +1,5 @@
 """Derandomized hypothesis properties of the surrogate, the exact minimizer,
-the MM step and the sequence-file reader."""
+the MM step, the accelerated run and the sequence-file reader."""
 
 import contextlib
 import io
@@ -13,7 +13,7 @@ from unipol.cli import main
 from unipol.io import SequenceFileError, read_sequence_file
 from unipol.metrics import UnimodularSequence, isl_time
 from unipol.quartic import _TIE_GAP, _anchor, minimize_batch
-from unipol.solver import unipol_step
+from unipol.solver import SolverConfig, run, unipol_step
 from unipol.surrogate import ab_all_direct, ab_all_fast
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -121,3 +121,14 @@ def test_hostile_sequence_files_fail_cleanly(tmp_path_factory, text):
         pass
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["metrics", str(path)]) in (0, 1)
+
+
+@PROPERTY
+@given(n=st.integers(2, 64), seed=st.integers(0, 2**64 - 1), budget=st.integers(1, 40))
+def test_accelerated_run_descends_on_the_unit_circle(n, seed, budget):
+    trace = run(SolverConfig(n=n, max_iterations=budget, seed=seed))
+    isl = trace.isl_per_iteration
+    assert isl.shape == (budget + 1,)
+    # criterion 3's slack
+    assert np.all(isl[1:] <= isl[:-1] * (1 + 1e-9) + 1e-9)
+    assert np.max(np.abs(np.abs(trace.final_sequence.values) - 1.0)) <= 1e-12

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from unipol import solver
+from unipol.baselines import _can_step, can_run
 from unipol.metrics import UnimodularSequence, isl_quartic, isl_time
 from unipol.solver import SolverConfig, _run_loop, init_random, run, unipol_step
 from unipol.surrogate import surrogate_value
@@ -14,6 +16,11 @@ class TestSolverConfig:
         assert cfg.max_iterations == 1000
         assert cfg.rel_tolerance == 0.0
         assert cfg.phase_range == "full"
+        assert cfg.accel == "squarem"
+
+    @pytest.mark.parametrize("accel", ["squarem", "none"])
+    def test_accepts_accel(self, accel):
+        assert SolverConfig(n=5, accel=accel).accel == accel
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -35,6 +42,13 @@ class TestSolverConfig:
             dict(n=5, seed=False),
             dict(n=5, rel_tolerance=True),
             dict(n=5, rel_tolerance=False),
+            dict(n=5, accel="SQUAREM"),
+            dict(n=5, accel=""),
+            dict(n=5, accel=None),
+            dict(n=5, accel=1),
+            dict(n=5, accel=True),
+            dict(n=5, accel=("squarem",)),
+            dict(n=5, accel=np.str_("bogus")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -209,6 +223,69 @@ class TestRun:
             direct = _run_loop(lambda x: unipol_step(x, fast_path=False), cfg, None)
             a, b = fast.isl_per_iteration, direct.isl_per_iteration
             assert np.max(np.abs(a - b) / np.maximum(1.0, a)) <= 1e-6
+
+
+def _hand_loop(step, x, budget):
+    """The plain loop written out: one step and one isl_time per evaluation."""
+    isl = [isl_time(x)]
+    for _ in range(budget):
+        x = step(x)
+        isl.append(isl_time(x))
+    return np.asarray(isl), x
+
+
+class TestAcceleratedLoop:
+    @pytest.mark.parametrize("budget", range(1, 8))
+    def test_every_map_evaluation_is_counted(self, monkeypatch, budget):
+        # budgets 1..7 stop at every point of a two-steps-then-extrapolate cycle
+        calls = []
+        plain_step = solver.unipol_step
+
+        def counted(x):
+            calls.append(x)
+            return plain_step(x)
+
+        monkeypatch.setattr(solver, "unipol_step", counted)
+        trace = run(SolverConfig(n=40, max_iterations=budget, seed=budget))
+        assert len(calls) == trace.iterations_run == budget
+        assert trace.isl_per_iteration.shape == (budget + 1,)
+        assert trace.wall_time_per_iteration.shape == (budget,)
+
+    @pytest.mark.parametrize("budget", range(1, 8))
+    def test_final_sequence_is_the_last_recorded_iterate(self, budget):
+        trace = run(SolverConfig(n=40, max_iterations=budget, seed=3))
+        assert isl_time(trace.final_sequence) == trace.isl_per_iteration[-1]
+
+    def test_extrapolation_beats_plain_mm(self):
+        cfg = SolverConfig(n=100, max_iterations=200, seed=0)
+        fast = run(cfg).isl_per_iteration
+        plain = run(SolverConfig(n=100, max_iterations=200, seed=0, accel="none")).isl_per_iteration
+        assert fast[:3].tolist() == plain[:3].tolist()  # the first cycle's two plain steps
+        assert fast[-1] < 0.5 * plain[-1]
+
+    def test_tolerance_stops_early_and_stays_monotone(self):
+        cfg = SolverConfig(n=30, max_iterations=2000, rel_tolerance=1e-3, seed=4)
+        trace = run(cfg)
+        assert trace.iterations_run < 2000
+        assert isl_time(trace.final_sequence) == trace.isl_per_iteration[-1]
+        isl = trace.isl_per_iteration
+        assert np.all(isl[1:] <= isl[:-1] * (1 + 1e-9) + 1e-9)
+        assert np.all(isl[-3:] >= isl[-4:-1] * (1 - 1e-3))  # the streak that stopped it
+
+    def test_none_is_the_plain_loop_bit_for_bit(self):
+        cfg = SolverConfig(n=50, max_iterations=30, seed=9, accel="none")
+        trace = run(cfg)
+        isl, x = _hand_loop(unipol_step, init_random(50, 9), 30)
+        assert trace.isl_per_iteration.tobytes() == isl.tobytes()
+        assert trace.final_sequence.values.tobytes() == x.values.tobytes()
+
+    @pytest.mark.parametrize("accel", ["squarem", "none"])
+    def test_can_runs_plain_bit_for_bit(self, accel):
+        trace = can_run(SolverConfig(n=50, max_iterations=30, seed=9, accel=accel))
+        isl, x = _hand_loop(_can_step, init_random(50, 9), 30)
+        assert trace.isl_per_iteration.tobytes() == isl.tobytes()
+        assert trace.final_sequence.values.tobytes() == x.values.tobytes()
+        assert trace.config.accel == "none"
 
 
 class TestSandwich:
