@@ -1,28 +1,29 @@
-"""Stationarity quartic of the unit-circle subproblem and its minimizer.
+"""Exact minimizer of the unit-circle subproblem, by its secular equation.
 
-The per-variable surrogate reduces to minimizing f(theta) = Re(a e^{2j theta}
-- b e^{j theta}) over theta. Its stationary points, after the tangent
-half-angle substitution beta = tan(theta/2), are the real roots of
+The separable quartic majorizer leaves one subproblem per variable: minimize
+f(z) = Re(a z^2 - b z) over |z| = 1, with theta = arg z. This module solves
+it exactly, by another route than the paper's stationarity quartic. With
+h = sqrt(a/|a|) (h = 1 when a = 0) and z = w conj(h), the subproblem becomes
 
-    p4 b^4 + p3 b^3 + p2 b^2 + p1 b + p0 = 0
+    min  |a| (u^2 - v^2) - Re(b') u + Im(b') v   over  u^2 + v^2 = 1,
 
-with p4 = 2*aI + bI = -f'(pi), p3 = -8*aR - 2*bR, p2 = -12*aI,
-p1 = 8*aR - 2*bR, p0 = 2*aI - bI. The substitution cannot reach theta = pi,
-so each row is first rotated, theta = phi + psi with a -> a e^{2j phi} and
-b -> b e^{j phi}, by the anchor phi in {k*pi/4} with the largest |p4|. As
-p4^2 sums to 16|a|^2 + 4|b|^2 over the 8 anchors, |p4| >= (sqrt(2)/12)
-max|p_i| > max|p_i| / 9: phi + pi is never stationary, every row but a = b = 0
-is a true quartic, and every root has |beta| <= 10 (Cauchy's bound).
+w = u + jv and b' = b conj(h): a trust-region problem on the circle with the
+diagonal matrix diag(|a|, -|a|) (Gander, Golub & von Matt 1989; More &
+Sorensen 1983). Its global minimizer is w = (Re b' / 2(s + t), -Im b' / 2s)
+with t = 2|a| and s >= 0 the root of the secular equation
 
-`_real_roots_batch` returns the real parts of all four roots of each row, by
-Ferrari's closed form, and `minimize_batch` scores every one of them as
-theta = phi + 2*arctan(beta) on the objective itself. Every real stationary
-point is among these candidates and every candidate is a real angle whose
-objective is evaluated exactly, so the best candidate is the global minimizer.
-`minimize_single` is that batch of one.
+    p^2 / (s + t)^2 + q^2 / s^2 = 1,   p = |Re b'| / 2,  q = |Im b'| / 2,
 
-Inside, the M independent rows lie on the last axis of every array, as in the
-(5, M) coefficients; the (M, 5) and (M, 4) results are transposed views.
+whose multiplier s + |a| >= |a| certifies that the minimum is global. The
+root lies in [max(q, p - t), sqrt(p^2 + q^2)]. The hard case is s = 0: q = 0
+and p <= t, where u = Re b' / 2t and v = +-sqrt(1 - u^2) are two minimizers
+and the smaller theta wins.
+
+`_real_roots_batch` finds s for every row (the module and that function keep
+their names from the quartic route); `minimize_batch` turns s into theta;
+`minimize_single` is that batch of one. Every step is elementwise, so a row's
+result does not depend on its batch. The separable majorizer, the paper's
+contribution, is unchanged.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "quartic_coeffs_batch",
     "minimize_single",
     "minimize_batch",
 ]
@@ -38,127 +38,98 @@ __all__ = [
 # Objective gap, times min(1, |a| + |b|), within which the smallest theta wins a tie.
 _TIE_GAP = 1e-12
 
-# cos, sin and e^{j k pi/4} of the anchors k = 0..7, exact where they are 0 or +-1.
-_COS = np.array([1.0, np.sqrt(0.5), 0.0, -np.sqrt(0.5), -1.0, -np.sqrt(0.5), 0.0, np.sqrt(0.5)])
-_SIN = np.roll(_COS, 2)
-_ROT = _COS + 1j * _SIN
-_DOUBLE = 2 * np.arange(8) % 8  # anchor index of 2*phi
+# Newton steps per row at most. Far left of the root the q-term dominates and a
+# step multiplies s by about 3/2, so from s >= q the angle q/s still to go
+# shrinks like (2/3)^k. Solver rows stop within 4 steps, rows next to a triple
+# point (p = t, q ~ 1e-16 t) within 43; after 64 the angle left is below 1e-11
+# and the objective gap below 1e-22 (|a| + |b|).
+_NEWTON_CAP = 64
 
-# Rows per block of the closed form; bounds its complex temporaries.
-_BLOCK = 2048
-_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)[:, None]
-
-
-def quartic_coeffs_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stationarity-polynomial rows [p4, p3, p2, p1, p0] (M, 5) for complex arrays a, b (M,)."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    return np.stack(
-        [
-            2.0 * ai + bi,
-            -8.0 * ar - 2.0 * br,
-            -12.0 * ai,
-            8.0 * ar - 2.0 * br,
-            2.0 * ai - bi,
-        ],
-    ).T
+_TINY = np.finfo(float).tiny
 
 
-def _anchor(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor phi (M,) of each row and the stationarity rows (M, 5) of the
-    rotated subproblem a e^{2j phi}, b e^{j phi}.
+def _real_roots_batch(p: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Root s (M,) of p^2/(s + t)^2 + q^2/s^2 = 1 per row, 0 in the hard case.
 
-    phi = k*pi/4 maximizes |p4| = |2 Im(a e^{2j phi}) + Im(b e^{j phi})|, on real
-    (8, M) tables (complex ones double the temporaries); the row is then rotated
-    by _ROT. Elementwise only, so a row's result does not depend on its batch.
+    Newton on 1/|w(s)| - 1, which is concave and rising, from the left end
+    s = max(q, p - t): each step rises toward the root, and a row is frozen
+    at its first step that does not rise, or after _NEWTON_CAP steps. The hard
+    case, q = 0 and p <= t, returns 0; so does a subnormal start, whose q is
+    below any angle a double can hold next to 1 (and where the steps would
+    round to nothing). Rows are expected scaled to about 1, as minimize_batch
+    sends them.
     """
-    cos, sin = _COS[:, None], _SIN[:, None]  # anchors down axis 0, rows along axis 1
-    p4 = 2.0 * (a.imag * cos[_DOUBLE] + a.real * sin[_DOUBLE]) + b.imag * cos + b.real * sin
-    k = np.argmax(np.abs(p4), axis=0)
-    return k * (np.pi / 4), quartic_coeffs_batch(a * _ROT[_DOUBLE[k]], b * _ROT[k])
-
-
-def _ferrari(cols: np.ndarray) -> np.ndarray:
-    """Real parts (4, M) of the four roots of each column of cols (5, M), all with cols[0] != 0."""
-    flip = np.abs(cols[4]) > np.abs(cols[0])
-    lead, a3, a2, a1, a0 = np.where(flip, cols[::-1], cols)
-    a3, a2, a1, a0 = a3 / lead, a2 / lead, a1 / lead, a0 / lead
-    # depressed quartic y^4 + p y^2 + q y + r with x = y - a3/4
-    p = a2 - 0.375 * a3 * a3
-    q = a1 - 0.5 * a3 * (a2 - 0.25 * a3 * a3)
-    r = a0 - 0.25 * a3 * (a1 - a3 * (a2 - 0.1875 * a3 * a3) / 4.0)
-    # resolvent m^3 + p m^2 + (p^2/4 - r) m - q^2/8 = 0 by Cardano on m = t - p/3; its
-    # root of largest |m| is the one that keeps s = sqrt(2m) away from zero
-    cp = -p * p / 12.0 - r
-    cq = -p * p * p / 108.0 + p * r / 3.0 - q * q / 8.0
-    w = np.sqrt(cq * cq / 4.0 + cp * cp * cp / 27.0 + 0j)
-    u = (np.where(cq * w.real > 0.0, -w, w) - cq / 2.0) ** (1.0 / 3.0) * _CUBE_ROOTS_OF_UNITY
-    m = u - cp / 3.0 / np.where(u == 0.0, 1.0, u) - p / 3.0
-    m = np.choose(np.argmax(np.abs(m), axis=0), m)
-    # (y^2 + p/2 + m)^2 = (s y - q/(2s))^2 splits into y^2 + b y + p/2 + m - q/(2b), b = +-s;
-    # s = 0 leaves q = 0 but for rounding. Each takes its larger root without cancellation.
-    b = np.sqrt(2.0 * m) * [[1.0], [-1.0]]
-    c = p / 2.0 + m - q / (2.0 * np.where(b == 0.0, 1.0, b))
-    d = np.sqrt(b * b - 4.0 * c)
-    y = -0.5 * (b + np.where(b.real * d.real + b.imag * d.imag < 0.0, -d, d))
-    x = np.concatenate([y, c / np.where(y == 0.0, 1.0, y)]) - a3 / 4.0
-    x[:, flip] = 1.0 / np.where(x[:, flip] == 0.0, np.finfo(float).tiny, x[:, flip])
-    return x.real
-
-
-def _real_roots_batch(coeffs: np.ndarray) -> np.ndarray:
-    """Candidate betas: the real parts of all four roots of each row, an (M, 4) view of (4, M).
-
-    Ferrari's closed form in complex arithmetic on columns, in blocks of _BLOCK
-    rows so the temporaries stay a fraction of the output. A row with |p0| > |p4| is
-    solved reversed, for 1/beta, keeping its large roots accurate. Accuracy is
-    guaranteed on anchored rows (|p4| >= max|p_i|/9), the only ones that
-    minimize_batch sends: each real root has a candidate on it, the rest are
-    real parts of complex roots, scored like any other angle. Roots spread
-    over many decades lose the moderate ones (np.poly([1e-6, 1, 2, 1e6])
-    gives -1.13 and 0.46 for 1 and 2); coefficients past about 1e77 |p4|
-    overflow to NaN. A row with a zero leading coefficient is all-NaN.
-    """
-    cols = np.asarray(coeffs, dtype=float).T
-    quartic = cols[0] != 0.0
-    out = np.empty((4, cols.shape[1]))
-    for lo in range(0, cols.shape[1], _BLOCK):
-        block = np.where(quartic[lo : lo + _BLOCK], cols[:, lo : lo + _BLOCK], 1.0)
-        out[:, lo : lo + _BLOCK] = _ferrari(block)  # all-ones columns stand in for the zero-led
-    out[:, ~quartic] = np.nan
-    return out.T
+    s = np.maximum(q, p - t)
+    s[s < _TINY] = 0.0
+    rows = np.flatnonzero(s)
+    p, q, t = p[rows], q[rows], t[rows]
+    for _ in range(_NEWTON_CAP):
+        if not rows.size:
+            break
+        sr = s[rows]
+        d = sr + t
+        u, v = p / d, q / sr
+        e = v * v - (sr + (t - p)) * (d + p) / (d * d)  # |w|^2 - 1, free of cancellation
+        n = np.sqrt(1.0 + e)
+        new = sr + sr * (1.0 + e) * e / ((n + 1.0) * (u * u * sr / d + v * v))
+        rising = new > sr
+        rows, p, q, t = rows[rising], p[rising], q[rising], t[rising]
+        s[rows] = new[rising]
+    return s
 
 
 def minimize_batch(a, b) -> np.ndarray:
     """Global minimizers of Re(a_q e^{2j theta} - b_q e^{j theta}) on [0, 2*pi), per row.
 
-    Candidates are theta = phi + 2*arctan(beta) over the row's anchor phi and
-    the four candidate betas of _real_roots_batch, a superset of the
-    stationary points, scored as (4, M) arrays; no separate theta = pi candidate.
-    Ties within 1e-12 * min(1, |a| + |b|) objective go to the smallest theta. Above
+    Each row is first scaled by a power of two, exactly, so its largest real
+    or imaginary part lies in [1/2, 1); the secular root of _real_roots_batch
+    then gives the one minimizer, or in the hard case two mirror candidates
+    v = +-sqrt(1 - u^2). Only those exact ties are scored, on the unscaled row:
+    within 1e-12 * min(1, |a| + |b|) objective the smaller theta wins. Above
     |a| + |b| = 1 that gap is an absolute 1e-12, so a tie whose two values
     differ only by rounding may go to either minimizer. A row is constant
-    exactly when its anchored leading coefficient is 0, that is a = b = 0,
-    and returns 0.0. a and b are finite scalars or 1-D arrays of one shape.
+    exactly when a = b = 0, and returns 0.0. a and b are finite scalars or
+    1-D arrays of one shape.
     """
     a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
     b = np.atleast_1d(np.asarray(b, dtype=np.complex128))
     if a.ndim != 1 or a.shape != b.shape or not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError(f"a and b must be finite, 1-D of one shape, got {a.shape} and {b.shape}")
-    phi, coeffs = _anchor(a, b)
+    parts = np.array([a.real, a.imag, b.real, b.imag])
+    largest = np.abs(parts).max(axis=0)
+    ar, ai, br, bi = np.ldexp(parts, -np.frexp(largest)[1], out=parts)
+    r = np.abs(ar + 1j * ai)
+    # h = sqrt(a/|a|) up to sign, as the phase of |a| + a or j(|a| - a), whichever is
+    # further from 0; h = 1 when a = 0
+    g = np.where(ar >= 0.0, r + ar + 1j * ai, ai + 1j * (r - ar))
+    g[r == 0.0] = 1.0
+    h = g / np.abs(g)
+    bh = (br + 1j * bi) * h.conj()
+    t = 2.0 * r
+    s = _real_roots_batch(np.abs(bh.real) / 2.0, np.abs(bh.imag) / 2.0, t)
 
-    # phi + 2*arctan(beta) lies in (-pi, 3*pi). A hair-below-zero angle rounds
-    # up to exactly 2*pi on the first fold and goes to 0 on the second.
-    thetas = phi + 2.0 * np.arctan(_real_roots_batch(coeffs).T)
-    thetas = np.where(thetas < 0.0, thetas + 2.0 * np.pi, thetas)
-    thetas = np.where(thetas >= 2.0 * np.pi, thetas - 2.0 * np.pi, thetas)
+    hard = s == 0.0
+    u = bh.real / (2.0 * np.where(largest > 0.0, s + t, 1.0))  # s + t = 0 only for a = b = 0
+    v = -bh.imag / (2.0 * np.where(hard, 1.0, s))
+    v[hard] = np.sqrt(1.0 - u[hard] ** 2)
+    theta = _phase((u + 1j * v) * h.conj())
 
-    f = (a.real * np.cos(2.0 * thetas) - a.imag * np.sin(2.0 * thetas)
-         - b.real * np.cos(thetas) + b.imag * np.sin(thetas))
-    tied = f <= np.min(f, axis=0) + _TIE_GAP * np.minimum(1.0, np.abs(a) + np.abs(b))
-    theta = np.min(np.where(tied, thetas, np.inf), axis=0)
-    return np.where(coeffs[:, 0] == 0.0, 0.0, theta)
+    # the hard case: the mirror candidate, scored against the first on the unscaled row
+    k = np.flatnonzero(hard)
+    if k.size:
+        z = np.stack([u[k] + 1j * v[k], u[k] - 1j * v[k]]) * h[k].conj()
+        thetas = _phase(z)
+        f = (a[k] * z * z - b[k] * z).real
+        tied = f <= f.min(axis=0) + _TIE_GAP * np.minimum(1.0, np.abs(a[k]) + np.abs(b[k]))
+        theta[k] = np.min(np.where(tied, thetas, np.inf), axis=0)
+    return np.where(largest == 0.0, 0.0, theta)
+
+
+def _phase(z: np.ndarray) -> np.ndarray:
+    """arg z folded to [0, 2*pi); a hair-below-zero angle that rounds up to 2*pi goes to 0."""
+    theta = np.angle(z)
+    theta = np.where(theta < 0.0, theta + 2.0 * np.pi, theta)
+    return np.where(theta >= 2.0 * np.pi, 0.0, theta)
 
 
 def minimize_single(a: complex, b: complex) -> float:

@@ -30,6 +30,8 @@ ACCELS = ("squarem", "none")
 # Step-length tries per SQUAREM cycle before it falls back to the plain iterate x2.
 _SQUAREM_TRIES = 4
 
+_TINY = np.finfo(float).tiny
+
 
 def _check_int(name: str, value, least: int) -> int:
     """value as a plain int; ValueError unless a non-bool integer (numpy ones too) >= least."""
@@ -133,7 +135,9 @@ def _squarem(x0, x1, x2, isl2: float) -> UnimodularSequence:
     With r = x1 - x0 and v = x2 - x1 - r it tries x0 - 2*alpha*r + alpha^2*v
     from alpha = min(-|r|/|v|, -1), halving alpha + 1 while the projected
     point's ISL exceeds isl2 = ISL(x2), and returns x2 itself (the point at
-    alpha = -1) after _SQUAREM_TRIES rejections.
+    alpha = -1) after _SQUAREM_TRIES rejections. The projection is z/|z|;
+    an element with |z| below the smallest normal double, z = 0 included,
+    goes to 1, the phase 0 that np.angle gives z = 0.
     """
     v0, v1, v2 = as_values(x0), as_values(x1), as_values(x2)
     r = v1 - v0
@@ -143,7 +147,9 @@ def _squarem(x0, x1, x2, isl2: float) -> UnimodularSequence:
         return x2
     alpha = -norm_r / norm_v
     for _ in range(_SQUAREM_TRIES):
-        y = UnimodularSequence.from_phases(np.angle(v0 - 2.0 * alpha * r + alpha * alpha * v))
+        z = v0 - 2.0 * alpha * r + alpha * alpha * v
+        m = np.abs(z)
+        y = UnimodularSequence(np.divide(z, m, out=np.ones_like(z), where=m >= _TINY))
         if isl_time(y) <= isl2:
             return y
         alpha = (alpha - 1.0) / 2.0

@@ -4,17 +4,21 @@ the MM step, the accelerated run and the sequence-file reader."""
 import contextlib
 import io
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unipol.quartic as quartic
 from unipol.cli import main
 from unipol.io import SequenceFileError, read_sequence_file
 from unipol.metrics import UnimodularSequence, isl_time
-from unipol.quartic import _TIE_GAP, _anchor, minimize_batch
+from unipol.quartic import _TIE_GAP, minimize_batch
 from unipol.solver import SolverConfig, run, unipol_step
 from unipol.surrogate import ab_all_direct, ab_all_fast
+
+from test_quartic import anchor
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200, database=None)
 
@@ -66,9 +70,27 @@ def triple_point_rows(draw):
 @PROPERTY
 @given(subproblem_rows() | triple_point_rows())
 def test_anchor_keeps_the_leading_coefficient(row):
+    # the quartic oracle's anchor: theta = pi is never stationary after it
     a, b = (np.array([v]) for v in row)
-    _, coeffs = _anchor(a, b)
+    _, coeffs = anchor(a, b)
     assert abs(coeffs[0, 0]) >= np.max(np.abs(coeffs)) / 9
+
+
+@PROPERTY
+@given(subproblem_rows() | triple_point_rows())
+def test_secular_root_solves_its_equation(row):
+    # s rose from the left end of its bracket to the root, or is the hard case,
+    # where that left end max(q, p - t) is 0 or subnormal
+    a, b = (np.array([v]) for v in row)
+    with mock.patch.object(quartic, "_real_roots_batch", wraps=quartic._real_roots_batch) as roots:
+        minimize_batch(a, b)
+    p, q, t = roots.call_args.args
+    s = quartic._real_roots_batch(p, q, t)
+    if s[0] == 0.0:
+        assert max(q[0], p[0] - t[0]) < np.finfo(float).tiny
+    else:
+        assert s[0] >= max(q[0], p[0] - t[0])
+        assert abs((p[0] / (s[0] + t[0])) ** 2 + (q[0] / s[0]) ** 2 - 1.0) <= 1e-14
 
 
 @PROPERTY

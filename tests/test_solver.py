@@ -279,6 +279,20 @@ class TestAcceleratedLoop:
         assert trace.isl_per_iteration.tobytes() == isl.tobytes()
         assert trace.final_sequence.values.tobytes() == x.values.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_large_n_run_cuts_the_isl_by_half(self, seed):
+        # the design-n16384 budget; with the quartic route's 3e-6 rad errors in
+        # theta, which SQUAREM's alpha^2 ~ 1e6 magnifies, it cut about 0.10
+        isl = run(SolverConfig(n=16384, max_iterations=12, seed=seed)).isl_per_iteration
+        assert 1.0 - isl[-1] / isl[0] >= 0.5
+
+    def test_squarem_projects_zero_to_phase_zero(self):
+        # r = 2 - 5e-324j and v = 1 + 5e-324j give alpha = -2, so the point
+        # x0 - 2 alpha r + alpha^2 v is 0 in the first element and 5e-324j in the second
+        x0 = np.array([-12.0, -12.0 + 5e-324j])
+        y = solver._squarem(x0, np.array([-10.0, -10.0]), np.array([-7.0, -7.0]), np.inf)
+        assert y.values.tolist() == [1.0, 1.0]
+
     @pytest.mark.parametrize("accel", ["squarem", "none"])
     def test_can_runs_plain_bit_for_bit(self, accel):
         trace = can_run(SolverConfig(n=50, max_iterations=30, seed=9, accel=accel))
