@@ -63,7 +63,7 @@ def _can_step(x: UnimodularSequence) -> UnimodularSequence:
     """One CAN alternating projection: flatten the 2N-point spectrum, then the moduli."""
     v = as_values(x)
     n = v.size
-    spec = spectrum_2n(v)
+    spec = spectrum_2n(x)
     mag = np.abs(spec)
     flat = np.where(mag > 0.0, spec / np.where(mag > 0.0, mag, 1.0), 1.0)
     z = np.fft.ifft(flat)[:n]

@@ -10,12 +10,21 @@ with X_p the zero-padded 2N-point transform of x, for unimodular x. (The
 1/4N normalizer follows from |X_p|^2 - N = sum_{k != 0} r_k e^{-j omega_p k}
 and grid orthogonality, which yields 2N * sum_{k != 0} |r_k|^2 = 4N * ISL
 for the one-sided ISL used throughout.)
+
+A UnimodularSequence computes its spectrum once, on the first spectrum_2n
+call, and keeps it; every later call, and every metric built on the spectrum
+(autocorrelation, isl_time, psl, isl_freq, ...), reads that copy. It is
+returned read-only, and since the values are frozen it never goes stale. Two
+threads that fill it at once compute and store identical bits, so sharing a
+sequence across threads stays safe. An array argument gets a fresh, writable
+transform each call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -45,9 +54,13 @@ class UnimodularSequence:
 
     Values (anything as_values accepts) are copied and frozen at
     construction; instances are immutable and safe to share across threads.
+    The 2N-point spectrum is filled in on the first spectrum_2n call and kept:
+    the frozen values keep it current, and two threads that fill it at once
+    write identical bits.
     """
 
     values: np.ndarray
+    _spectrum: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(as_values(self.values))
@@ -100,7 +113,7 @@ def autocorrelation(x) -> np.ndarray:
     n = v.size
     if n <= _FFT_THRESHOLD:
         return np.correlate(v, v, mode="full")[n - 1 :]
-    spec = spectrum_2n(v)
+    spec = spectrum_2n(x)
     return np.fft.ifft(spec * np.conj(spec))[:n]
 
 
@@ -142,7 +155,7 @@ def merit_factor(x) -> float:
     n = v.size
     if n < 2:
         raise ValueError("merit factor is undefined for length-1 sequences")
-    isl = isl_time(v)
+    isl = isl_time(x)
     if isl == 0.0:
         return math.inf
     return n * n / (2.0 * isl)
@@ -153,10 +166,19 @@ def spectrum_2n(x) -> np.ndarray:
 
     The grid is omega_p = 2*pi*p / (2N). Sequence indexing is 0-based; a
     1-based convention would only rotate each bin by a unit-modulus factor,
-    leaving |X_p| and every ISL-type sum unchanged.
+    leaving |X_p| and every ISL-type sum unchanged. A UnimodularSequence
+    computes it once and returns that read-only array on every call; any
+    other input gets a fresh, writable transform.
     """
+    cached = isinstance(x, UnimodularSequence)
+    if cached and x._spectrum is not None:
+        return x._spectrum
     v = as_values(x)
-    return np.fft.fft(v, 2 * v.size)
+    spec = np.fft.fft(v, 2 * v.size)
+    if cached:
+        spec.flags.writeable = False
+        object.__setattr__(x, "_spectrum", spec)  # frozen instance; same bits from any thread
+    return spec
 
 
 def sidelobe_db(x) -> np.ndarray:
@@ -165,6 +187,6 @@ def sidelobe_db(x) -> np.ndarray:
     Lags with exactly zero correlation map to -inf.
     """
     v = as_values(x)
-    mags = np.abs(autocorrelation(v)) / v.size
+    mags = np.abs(autocorrelation(x)) / v.size
     with np.errstate(divide="ignore"):
         return 20.0 * np.log10(mags)

@@ -20,10 +20,12 @@ and p <= t, where u = Re b' / 2t and v = +-sqrt(1 - u^2) are two minimizers
 and the smaller theta wins.
 
 `_real_roots_batch` finds s for every row (the module and that function keep
-their names from the quartic route); `minimize_batch` turns s into theta;
-`minimize_single` is that batch of one. Every step is elementwise, so a row's
-result does not depend on its batch. The separable majorizer, the paper's
-contribution, is unchanged.
+their names from the quartic route); `minimize_unit` turns s into the unit
+minimizer z; `minimize_batch` returns theta = arg z, or z itself with
+unit=True, which is how the MM step (`solver.unipol_step`) calls it, with no
+angle in between; `minimize_single` is that batch of one. Every step is
+elementwise, so a row's result does not depend on its batch. The separable
+majorizer, the paper's contribution, is unchanged.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 __all__ = [
     "minimize_single",
     "minimize_batch",
+    "minimize_unit",
 ]
 
 # Objective gap, times min(1, |a| + |b|), within which the smallest theta wins a tie.
@@ -56,7 +59,7 @@ def _real_roots_batch(p: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray
     at its first step that does not rise, or after _NEWTON_CAP steps. The hard
     case, q = 0 and p <= t, returns 0; so does a subnormal start, whose q is
     below any angle a double can hold next to 1 (and where the steps would
-    round to nothing). Rows are expected scaled to about 1, as minimize_batch
+    round to nothing). Rows are expected scaled to about 1, as minimize_unit
     sends them.
     """
     s = np.maximum(q, p - t)
@@ -78,18 +81,19 @@ def _real_roots_batch(p: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray
     return s
 
 
-def minimize_batch(a, b) -> np.ndarray:
-    """Global minimizers of Re(a_q e^{2j theta} - b_q e^{j theta}) on [0, 2*pi), per row.
+def minimize_unit(a, b) -> np.ndarray:
+    """Global minimizers z of Re(a_q z^2 - b_q z) on |z| = 1, per row, as unit complex values.
 
     Each row is first scaled by a power of two, exactly, so its largest real
     or imaginary part lies in [1/2, 1); the secular root of _real_roots_batch
     then gives the one minimizer, or in the hard case two mirror candidates
-    v = +-sqrt(1 - u^2). Only those exact ties are scored, on the unscaled row:
-    within 1e-12 * min(1, |a| + |b|) objective the smaller theta wins. Above
-    |a| + |b| = 1 that gap is an absolute 1e-12, so a tie whose two values
-    differ only by rounding may go to either minimizer. A row is constant
-    exactly when a = b = 0, and returns 0.0. a and b are finite scalars or
-    1-D arrays of one shape.
+    v = +-sqrt(1 - u^2). Every candidate is returned as z / |z|. Only the
+    hard-case ties are scored, on the unscaled row: within 1e-12 *
+    min(1, |a| + |b|) objective the one with the smaller theta = arg z in
+    [0, 2*pi) wins. Above |a| + |b| = 1 that gap is an absolute 1e-12, so a
+    tie whose two values differ only by rounding may go to either minimizer.
+    A row is constant exactly when a = b = 0, and returns 1. a and b are
+    finite scalars or 1-D arrays of one shape.
     """
     a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
     b = np.atleast_1d(np.asarray(b, dtype=np.complex128))
@@ -112,17 +116,31 @@ def minimize_batch(a, b) -> np.ndarray:
     u = bh.real / (2.0 * np.where(largest > 0.0, s + t, 1.0))  # s + t = 0 only for a = b = 0
     v = -bh.imag / (2.0 * np.where(hard, 1.0, s))
     v[hard] = np.sqrt(1.0 - u[hard] ** 2)
-    theta = _phase((u + 1j * v) * h.conj())
+    z = (u + 1j * v) * h.conj()
+    z /= np.abs(z)
 
     # the hard case: the mirror candidate, scored against the first on the unscaled row
     k = np.flatnonzero(hard)
     if k.size:
-        z = np.stack([u[k] + 1j * v[k], u[k] - 1j * v[k]]) * h[k].conj()
-        thetas = _phase(z)
-        f = (a[k] * z * z - b[k] * z).real
+        mirror = (u[k] - 1j * v[k]) * h[k].conj()
+        pair = np.stack([z[k], mirror / np.abs(mirror)])
+        f = (a[k] * pair * pair - b[k] * pair).real
         tied = f <= f.min(axis=0) + _TIE_GAP * np.minimum(1.0, np.abs(a[k]) + np.abs(b[k]))
-        theta[k] = np.min(np.where(tied, thetas, np.inf), axis=0)
-    return np.where(largest == 0.0, 0.0, theta)
+        pick = np.argmin(np.where(tied, _phase(pair), np.inf), axis=0)
+        z[k] = pair[pick, np.arange(k.size)]
+    z[largest == 0.0] = 1.0
+    return z
+
+
+def minimize_batch(a, b, unit: bool = False) -> np.ndarray:
+    """Global minimizers theta of Re(a_q e^{2j theta} - b_q e^{j theta}) on [0, 2*pi), per row.
+
+    theta = arg z of minimize_unit's z, so the same rules hold: exact ties
+    go to the smaller theta, and a = b = 0 returns 0.0. With unit=True the
+    z themselves are returned, with no angle in between.
+    """
+    z = minimize_unit(a, b)
+    return z if unit else _phase(z)
 
 
 def _phase(z: np.ndarray) -> np.ndarray:

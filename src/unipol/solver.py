@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from unipol.metrics import UnimodularSequence, as_values, isl_time
+from unipol.metrics import UnimodularSequence, as_values, isl_freq, isl_time, spectrum_2n
 from unipol.quartic import minimize_batch
 from unipol.surrogate import ab_all_direct, ab_all_fast
 
@@ -87,9 +87,11 @@ class RunTrace:
 
     isl_per_iteration[0] is the ISL of the initial sequence, so its length is
     iterations_run + 1: one entry per map evaluation. wall_time_per_iteration
-    holds the duration of each evaluation (ISL bookkeeping excluded), and of
-    any SQUAREM extrapolation and its ISL checks made just before it;
-    cumulative_seconds pairs 1:1 with isl_per_iteration via a leading 0.0.
+    holds the duration of each evaluation (ISL bookkeeping excluded), of the
+    new iterate's 2N-point spectrum (which the next evaluation and the
+    bookkeeping read), and of any SQUAREM extrapolation and its ISL checks
+    made just before it; cumulative_seconds pairs 1:1 with isl_per_iteration
+    via a leading 0.0.
     """
 
     isl_per_iteration: np.ndarray
@@ -125,8 +127,9 @@ def unipol_step(xt, fast_path: bool = True) -> UnimodularSequence:
     v = as_values(xt)
     if v.size == 1:
         return UnimodularSequence(v)
-    a, b = ab_all_fast(v) if fast_path else ab_all_direct(v)
-    return UnimodularSequence.from_phases(minimize_batch(a, b))
+    a, b = ab_all_fast(xt) if fast_path else ab_all_direct(v)
+    # minimize_batch, not minimize_unit: the name perfbench/spans.py times the kernel under
+    return UnimodularSequence(minimize_batch(a, b, unit=True))
 
 
 def _squarem(x0, x1, x2, isl2: float) -> UnimodularSequence:
@@ -135,9 +138,10 @@ def _squarem(x0, x1, x2, isl2: float) -> UnimodularSequence:
     With r = x1 - x0 and v = x2 - x1 - r it tries x0 - 2*alpha*r + alpha^2*v
     from alpha = min(-|r|/|v|, -1), halving alpha + 1 while the projected
     point's ISL exceeds isl2 = ISL(x2), and returns x2 itself (the point at
-    alpha = -1) after _SQUAREM_TRIES rejections. The projection is z/|z|;
-    an element with |z| below the smallest normal double, z = 0 included,
-    goes to 1, the phase 0 that np.angle gives z = 0.
+    alpha = -1) after _SQUAREM_TRIES rejections. Each check is isl_freq, on
+    the spectrum that an accepted point then hands to the next step. The
+    projection is z/|z|; an element with |z| below the smallest normal
+    double, z = 0 included, goes to 1, the phase 0 that np.angle gives z = 0.
     """
     v0, v1, v2 = as_values(x0), as_values(x1), as_values(x2)
     r = v1 - v0
@@ -150,7 +154,7 @@ def _squarem(x0, x1, x2, isl2: float) -> UnimodularSequence:
         z = v0 - 2.0 * alpha * r + alpha * alpha * v
         m = np.abs(z)
         y = UnimodularSequence(np.divide(z, m, out=np.ones_like(z), where=m >= _TINY))
-        if isl_time(y) <= isl2:
+        if isl_freq(y) <= isl2:
             return y
         alpha = (alpha - 1.0) / 2.0
     return x2
@@ -166,6 +170,9 @@ def _run_loop(
     Every call of step counts against max_iterations and records one ISL.
     Under accel="squarem", each third call starts from the _squarem point of
     the three iterates before it, whenever the budget has room for that call.
+    Each new iterate's spectrum is taken inside the timed evaluation, so the
+    step that reads it next and the ISL bookkeeping in between transform
+    nothing forward.
     """
     x = init_random(cfg.n, cfg.seed, cfg.phase_range) if init is None else UnimodularSequence(init)
     if len(x) != cfg.n:
@@ -180,6 +187,7 @@ def _run_loop(
         if len(cycle) == 3:
             x, cycle = _squarem(*cycle, isl[-1]), []
         x = step(x)
+        spectrum_2n(x)
         durations.append(time.perf_counter() - t0)
         isl.append(isl_time(x))
         if cfg.accel == "squarem":

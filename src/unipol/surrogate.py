@@ -83,7 +83,7 @@ def ab_all_fast(xt) -> tuple[np.ndarray, np.ndarray]:
     """
     v = as_values(xt)
     n = v.size
-    c = spectrum_2n(v) / n
+    c = spectrum_2n(xt) / n
     cmag2 = np.abs(c) ** 2
     s3 = (2 * n * np.fft.ifft(cmag2 * c))[:n]
     c2 = c * c

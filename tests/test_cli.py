@@ -230,6 +230,22 @@ class TestDesignCommand:
 
 
 class TestMetricsCommand:
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["table", "json"])
+    def test_one_forward_transform_per_file(self, tmp_path, capsys, monkeypatch, flags):
+        # N = 100 takes the FFT route; every figure reads the file's one cached spectrum
+        path = tmp_path / "chu.csv"
+        write_sequence_file(path, generate("chu", 100))
+        calls = []
+        fft = np.fft.fft
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        assert main(["metrics", str(path), *flags]) == 0
+        assert len(calls) == 1
+
     def test_barker13_report(self, tmp_path, capsys):
         path = tmp_path / "b13.csv"
         write_sequence_file(path, generate("barker", 13))

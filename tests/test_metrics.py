@@ -1,4 +1,7 @@
-"""Metric-layer tests: lag-domain oracles, spectral identities, and invariants."""
+"""Metric-layer tests: lag-domain oracles, spectral identities, the spectrum cache, and invariants."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -245,6 +248,67 @@ class TestSpectrum:
         base = spectrum_2n(x)
         assert np.allclose(np.abs(one_based), np.abs(base), atol=1e-9)
         assert np.allclose(one_based, base * np.exp(-1j * grid), atol=1e-9)
+
+
+class TestSpectrumCache:
+    """A UnimodularSequence keeps the spectrum it computes first; arrays never share one."""
+
+    def test_sequence_returns_one_read_only_spectrum(self):
+        seq = UnimodularSequence(random_unimodular(100, np.random.default_rng(60)))
+        first = spectrum_2n(seq)
+        assert spectrum_2n(seq) is first
+        assert not first.flags.writeable
+        assert first.tobytes() == np.fft.fft(seq.values, 200).tobytes()
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
+    def test_array_input_gets_a_fresh_writable_transform(self):
+        v = random_unimodular(100, np.random.default_rng(61))
+        first, second = spectrum_2n(v), spectrum_2n(v)
+        assert first is not second and not np.shares_memory(first, second)
+        assert first.flags.writeable and second.flags.writeable
+        assert first.tobytes() == second.tobytes() == np.fft.fft(v, 200).tobytes()
+
+    def test_cache_is_invisible_to_repr(self):
+        seq = UnimodularSequence(random_unimodular(8, np.random.default_rng(62)))
+        before = repr(seq)
+        spectrum_2n(seq)
+        assert repr(seq) == before
+        assert "_spectrum" not in before
+
+    def test_metrics_read_the_same_bits_as_from_an_array(self):
+        v = random_unimodular(300, np.random.default_rng(63))
+        seq = UnimodularSequence(v)
+        spectrum_2n(seq)
+        for metric in (autocorrelation, isl_time, isl_freq, isl_quartic, psl):
+            assert np.asarray(metric(seq)).tobytes() == np.asarray(metric(v)).tobytes(), metric
+
+    def test_threads_filling_at_once_agree(self):
+        # more threads than cores and a short switch interval, so fills interleave
+        values = random_unimodular(4096, np.random.default_rng(64))
+        expected = np.fft.fft(values, 8192).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                seq = UnimodularSequence(values)
+                start = threading.Barrier(8)
+                got = [None] * 8
+
+                def fill(i):
+                    start.wait(timeout=10)
+                    got[i] = spectrum_2n(seq)
+
+                workers = [threading.Thread(target=fill, args=(i,)) for i in range(8)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=10)
+                assert not any(w.is_alive() for w in workers)
+                assert all(not g.flags.writeable and g.tobytes() == expected for g in got)
+                assert spectrum_2n(seq) is spectrum_2n(seq)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestInvariants:

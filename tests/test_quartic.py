@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import unipol.quartic as quartic
-from unipol.quartic import _TIE_GAP, minimize_batch, minimize_single
+from unipol.quartic import _TIE_GAP, minimize_batch, minimize_single, minimize_unit
 from unipol.solver import init_random, unipol_step
 from unipol.surrogate import ab_all_fast
 
@@ -537,3 +537,42 @@ class TestSecularKernel:
                 gap = np.mod(theta - long_double_polish(a, b, theta) + np.pi, 2 * np.pi) - np.pi
                 assert np.max(np.abs(gap)) <= 1e-10, float(np.max(np.abs(gap)))
                 x = unipol_step(x)
+
+
+def adversarial_rows(name, rng):
+    """The row sets the tests above build, by name: the eig-oracle families,
+    exact hard-case ties, degenerate and triple-point rows, constant rows and
+    rows at subnormal or extreme scale."""
+    if name in ("generic", "triple", "perturbed_triple", "a_zero", "b_zero", "b_near_four_a"):
+        return TestClosedFormAgainstEigOracle.family(name, rng, m=5000)
+    if name == "degree_two":
+        return TestSingleRootRouteAdversarial.degree_two_rows(rng, 500)
+    if name == "degree_one":
+        return TestSingleRootRouteAdversarial.degree_one_rows(rng, 500)
+    if name == "near_triple":
+        return triple_rows(rng, 3000)
+    size = 10.0 ** rng.uniform(-300, 0, size=300)
+    ratio = rng.uniform(-4.0, 4.0, size=300)
+    if name == "hard_case_ties":
+        return np.concatenate([size, -size]) + 0j, np.concatenate([size * ratio + 0j, 1j * size * ratio])
+    if name == "constant":
+        return np.zeros(3, dtype=complex), np.zeros(3, dtype=complex)
+    k = rng.integers(-(2**20), 2**20, size=(4, 500)).astype(float)
+    return {
+        "subnormal": ((k[0] + 1j * k[1]) * 2.0**-1074, (k[2] + 1j * k[3]) * 2.0**-1074),
+        "huge": ((k[0] + 1j * k[1]) * 2.0**976, (k[2] + 1j * k[3]) * 2.0**976),
+        "lopsided": (np.array([5e-324, 1e300, 1e300j, 5e-324j, 1.0]),
+                     np.array([1e300, 5e-324j, -5e-324, 1e300, -4.0 + 1e-320j])),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["generic", "triple", "perturbed_triple", "a_zero", "b_zero", "b_near_four_a", "degree_two",
+     "degree_one", "near_triple", "hard_case_ties", "constant", "subnormal", "huge", "lopsided"],
+)
+def test_minimize_unit_returns_unit_values(name):
+    z = minimize_unit(*adversarial_rows(name, np.random.default_rng(90)))
+    assert np.all(np.abs(np.abs(z) - 1.0) <= 1e-12), float(np.max(np.abs(np.abs(z) - 1.0)))
+    if name == "constant":
+        assert np.all(z == 1.0)

@@ -302,6 +302,48 @@ class TestAcceleratedLoop:
         assert trace.config.accel == "none"
 
 
+class TestOneTransformPerIterate:
+    """Each iterate's 2N-point spectrum is computed once: the step and the ISL
+    bookkeeping of a run read it, so K evaluations make K + 1 forward transforms
+    (the start's and one per new iterate), plus one per SQUAREM candidate."""
+
+    @pytest.fixture
+    def forward(self, monkeypatch):
+        calls = []
+        fft = np.fft.fft
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_plain_mm(self, forward, n):
+        run(SolverConfig(n=n, max_iterations=9, seed=2, accel="none"))
+        assert len(forward) == 9 + 1
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_can(self, forward, n):
+        can_run(SolverConfig(n=n, max_iterations=9, seed=2))
+        assert len(forward) == 9 + 1
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_squarem_adds_only_its_candidates(self, forward, monkeypatch, n):
+        checks = []
+        isl_freq = solver.isl_freq
+
+        def counted(y):
+            checks.append(y)
+            return isl_freq(y)
+
+        monkeypatch.setattr(solver, "isl_freq", counted)
+        run(SolverConfig(n=n, max_iterations=12, seed=2))
+        assert checks
+        assert len(forward) <= 12 + 1 + len(checks)
+
+
 class TestSandwich:
     def test_per_step_mm_inequalities(self):
         # isl_quartic(x+) <= u(x+|x) <= u(x|x) = isl_quartic(x), within slack
