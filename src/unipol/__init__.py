@@ -4,7 +4,7 @@ The solver minimizes the integrated sidelobe level by majorization-
 minimization: each iteration majorizes the quartic spectral form of the ISL
 with a function separable across sequence elements, then drops every element
 to the exact minimizer of its own unit-circle quartic subproblem (found
-through the tangent half-angle stationarity polynomial). A CAN
+through the subproblem's trust-region secular equation). A CAN
 alternating-projection baseline, classical polyphase generators, exact
 metrics, and a benchmark harness round out the library; the ``unipol``
 command exposes it all on the command line.

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from unipol.metrics import UnimodularSequence, as_values, spectrum_2n
+from unipol.metrics import UnimodularSequence, as_values, spectrum_2n, unit_of
 from unipol.solver import RunTrace, SolverConfig, _check_int, _run_loop
 
 __all__ = ["FAMILIES", "BARKER_CODES", "generate", "can_run"]
@@ -62,14 +62,8 @@ def generate(family: str, n: int) -> UnimodularSequence:
 def _can_step(x: UnimodularSequence) -> UnimodularSequence:
     """One CAN alternating projection: flatten the 2N-point spectrum, then the moduli."""
     v = as_values(x)
-    n = v.size
-    spec = spectrum_2n(x)
-    mag = np.abs(spec)
-    flat = np.where(mag > 0.0, spec / np.where(mag > 0.0, mag, 1.0), 1.0)
-    z = np.fft.ifft(flat)[:n]
-    zmag = np.abs(z)
-    out = np.where(zmag > 0.0, z / np.where(zmag > 0.0, zmag, 1.0), v)
-    return UnimodularSequence(out)
+    z = np.fft.ifft(unit_of(spectrum_2n(x)))[: v.size]
+    return UnimodularSequence(unit_of(z, v))
 
 
 def can_run(cfg: SolverConfig, init: Optional[UnimodularSequence] = None) -> RunTrace:

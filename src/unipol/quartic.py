@@ -16,21 +16,24 @@ with t = 2|a| and s >= 0 the root of the secular equation
 
 whose multiplier s + |a| >= |a| certifies that the minimum is global. The
 root lies in [max(q, p - t), sqrt(p^2 + q^2)]. The hard case is s = 0: q = 0
-and p <= t, where u = Re b' / 2t and v = +-sqrt(1 - u^2) are two minimizers
-and the smaller theta wins.
+and p <= t, where u = Re b' / 2t and v = +-sqrt(1 - u^2) give two minimizers,
+mirror images across the real axis of the rotated frame with equal objective;
+the smaller theta is returned.
 
 `_real_roots_batch` finds s for every row (the module and that function keep
 their names from the quartic route); `minimize_unit` turns s into the unit
-minimizer z; `minimize_batch` returns theta = arg z, or z itself with
-unit=True, which is how the MM step (`solver.unipol_step`) calls it, with no
-angle in between; `minimize_single` is that batch of one. Every step is
-elementwise, so a row's result does not depend on its batch. The separable
-majorizer, the paper's contribution, is unchanged.
+minimizer z = `metrics.unit_of(w conj(h))`; `minimize_batch` returns theta =
+`metrics.phase_of(z)`, or z itself with unit=True, which is how the MM step
+(`solver.unipol_step`) calls it; `minimize_single` is that batch of one. Every
+step is elementwise, so a row's result does not depend on its batch. The
+separable majorizer, the paper's contribution, is unchanged.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from unipol.metrics import _TINY, phase_of, unit_of
 
 __all__ = [
     "minimize_single",
@@ -38,17 +41,12 @@ __all__ = [
     "minimize_unit",
 ]
 
-# Objective gap, times min(1, |a| + |b|), within which the smallest theta wins a tie.
-_TIE_GAP = 1e-12
-
 # Newton steps per row at most. Far left of the root the q-term dominates and a
 # step multiplies s by about 3/2, so from s >= q the angle q/s still to go
 # shrinks like (2/3)^k. Solver rows stop within 4 steps, rows next to a triple
 # point (p = t, q ~ 1e-16 t) within 43; after 64 the angle left is below 1e-11
 # and the objective gap below 1e-22 (|a| + |b|).
 _NEWTON_CAP = 64
-
-_TINY = np.finfo(float).tiny
 
 
 def _real_roots_batch(p: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -87,13 +85,10 @@ def minimize_unit(a, b) -> np.ndarray:
     Each row is first scaled by a power of two, exactly, so its largest real
     or imaginary part lies in [1/2, 1); the secular root of _real_roots_batch
     then gives the one minimizer, or in the hard case two mirror candidates
-    v = +-sqrt(1 - u^2). Every candidate is returned as z / |z|. Only the
-    hard-case ties are scored, on the unscaled row: within 1e-12 *
-    min(1, |a| + |b|) objective the one with the smaller theta = arg z in
-    [0, 2*pi) wins. Above |a| + |b| = 1 that gap is an absolute 1e-12, so a
-    tie whose two values differ only by rounding may go to either minimizer.
-    A row is constant exactly when a = b = 0, and returns 1. a and b are
-    finite scalars or 1-D arrays of one shape.
+    v = +-sqrt(1 - u^2), each projected by metrics.unit_of. Those two tie
+    exactly, so the one with the smaller theta = metrics.phase_of(z) is
+    returned, unscored. A row is constant exactly when a = b = 0, and returns
+    1. a and b are finite scalars or 1-D arrays of one shape.
     """
     a = np.atleast_1d(np.asarray(a, dtype=np.complex128))
     b = np.atleast_1d(np.asarray(b, dtype=np.complex128))
@@ -104,10 +99,8 @@ def minimize_unit(a, b) -> np.ndarray:
     ar, ai, br, bi = np.ldexp(parts, -np.frexp(largest)[1], out=parts)
     r = np.abs(ar + 1j * ai)
     # h = sqrt(a/|a|) up to sign, as the phase of |a| + a or j(|a| - a), whichever is
-    # further from 0; h = 1 when a = 0
-    g = np.where(ar >= 0.0, r + ar + 1j * ai, ai + 1j * (r - ar))
-    g[r == 0.0] = 1.0
-    h = g / np.abs(g)
+    # further from 0; h = 1 when a = 0, where both are 0
+    h = unit_of(np.where(ar >= 0.0, r + ar + 1j * ai, ai + 1j * (r - ar)))
     bh = (br + 1j * bi) * h.conj()
     t = 2.0 * r
     s = _real_roots_batch(np.abs(bh.real) / 2.0, np.abs(bh.imag) / 2.0, t)
@@ -116,18 +109,13 @@ def minimize_unit(a, b) -> np.ndarray:
     u = bh.real / (2.0 * np.where(largest > 0.0, s + t, 1.0))  # s + t = 0 only for a = b = 0
     v = -bh.imag / (2.0 * np.where(hard, 1.0, s))
     v[hard] = np.sqrt(1.0 - u[hard] ** 2)
-    z = (u + 1j * v) * h.conj()
-    z /= np.abs(z)
+    z = unit_of((u + 1j * v) * h.conj())
 
-    # the hard case: the mirror candidate, scored against the first on the unscaled row
+    # the hard case: the mirror candidate ties exactly, so the smaller theta wins
     k = np.flatnonzero(hard)
     if k.size:
-        mirror = (u[k] - 1j * v[k]) * h[k].conj()
-        pair = np.stack([z[k], mirror / np.abs(mirror)])
-        f = (a[k] * pair * pair - b[k] * pair).real
-        tied = f <= f.min(axis=0) + _TIE_GAP * np.minimum(1.0, np.abs(a[k]) + np.abs(b[k]))
-        pick = np.argmin(np.where(tied, _phase(pair), np.inf), axis=0)
-        z[k] = pair[pick, np.arange(k.size)]
+        pair = np.stack([z[k], unit_of((u[k] - 1j * v[k]) * h[k].conj())])
+        z[k] = pair[np.argmin(phase_of(pair), axis=0), np.arange(k.size)]
     z[largest == 0.0] = 1.0
     return z
 
@@ -135,19 +123,11 @@ def minimize_unit(a, b) -> np.ndarray:
 def minimize_batch(a, b, unit: bool = False) -> np.ndarray:
     """Global minimizers theta of Re(a_q e^{2j theta} - b_q e^{j theta}) on [0, 2*pi), per row.
 
-    theta = arg z of minimize_unit's z, so the same rules hold: exact ties
-    go to the smaller theta, and a = b = 0 returns 0.0. With unit=True the
-    z themselves are returned, with no angle in between.
+    theta = metrics.phase_of(z) of minimize_unit's z, so the hard case takes the
+    smaller theta and a = b = 0 returns 0.0; with unit=True z itself is returned.
     """
     z = minimize_unit(a, b)
-    return z if unit else _phase(z)
-
-
-def _phase(z: np.ndarray) -> np.ndarray:
-    """arg z folded to [0, 2*pi); a hair-below-zero angle that rounds up to 2*pi goes to 0."""
-    theta = np.angle(z)
-    theta = np.where(theta < 0.0, theta + 2.0 * np.pi, theta)
-    return np.where(theta >= 2.0 * np.pi, 0.0, theta)
+    return z if unit else phase_of(z)
 
 
 def minimize_single(a: complex, b: complex) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from unipol.metrics import UnimodularSequence, as_values, isl_freq, isl_time, spectrum_2n
+from unipol.metrics import UnimodularSequence, as_values, isl_freq, isl_time, spectrum_2n, unit_of
 from unipol.quartic import minimize_batch
 from unipol.surrogate import ab_all_direct, ab_all_fast
 
@@ -30,8 +30,6 @@ ACCELS = ("squarem", "none")
 # Step-length tries per SQUAREM cycle before it falls back to the plain iterate x2.
 _SQUAREM_TRIES = 4
 
-_TINY = np.finfo(float).tiny
-
 
 def _check_int(name: str, value, least: int) -> int:
     """value as a plain int; ValueError unless a non-bool integer (numpy ones too) >= least."""
@@ -40,6 +38,12 @@ def _check_int(name: str, value, least: int) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
     return int(value)
+
+
+def _check_choice(name: str, value, choices: tuple) -> None:
+    """ValueError unless value is a str among choices (a numpy array never is)."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,8 @@ class SolverConfig:
     decrease falls below it. phase_range picks the initial phase law:
     "full" draws from [0, 2*pi), "unit" from [0, 1] radians.
     accel picks the outer scheme: "squarem" (the default) adds a squared
-    extrapolation after every two MM steps, "none" runs the paper's plain MM;
-    any other value, a non-string included, raises ValueError.
+    extrapolation after every two MM steps, "none" runs the paper's plain MM.
+    For either, any other value, a non-string included, raises ValueError.
     """
 
     n: int
@@ -73,10 +77,8 @@ class SolverConfig:
         tol = self.rel_tolerance
         if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
             raise ValueError("rel_tolerance must be finite and >= 0")
-        if self.phase_range not in PHASE_RANGES:
-            raise ValueError(f"phase_range must be one of {PHASE_RANGES}")
-        if not isinstance(self.accel, str) or self.accel not in ACCELS:
-            raise ValueError(f"accel must be one of {ACCELS}, got {self.accel!r}")
+        _check_choice("phase_range", self.phase_range, PHASE_RANGES)
+        _check_choice("accel", self.accel, ACCELS)
         for name, value in {**plain, "rel_tolerance": float(tol)}.items():
             object.__setattr__(self, name, value)  # frozen: store the plain int/float
 
@@ -109,8 +111,7 @@ def init_random(n: int, seed: int, phase_range: str = "full") -> UnimodularSeque
     """Seeded random unimodular sequence for integers n >= 1, seed >= 0; reproducible."""
     n = _check_int("n", n, 1)
     _check_int("seed", seed, 0)
-    if phase_range not in PHASE_RANGES:
-        raise ValueError(f"phase_range must be one of {PHASE_RANGES}")
+    _check_choice("phase_range", phase_range, PHASE_RANGES)
     width = 2.0 * np.pi if phase_range == "full" else 1.0
     theta = width * np.random.default_rng(seed).random(n)
     return UnimodularSequence.from_phases(theta)
@@ -140,8 +141,8 @@ def _squarem(x0, x1, x2, isl2: float) -> UnimodularSequence:
     point's ISL exceeds isl2 = ISL(x2), and returns x2 itself (the point at
     alpha = -1) after _SQUAREM_TRIES rejections. Each check is isl_freq, on
     the spectrum that an accepted point then hands to the next step. The
-    projection is z/|z|; an element with |z| below the smallest normal
-    double, z = 0 included, goes to 1, the phase 0 that np.angle gives z = 0.
+    projection is metrics.unit_of: an element with |z| below the smallest
+    normal double, z = 0 included, goes to 1.
     """
     v0, v1, v2 = as_values(x0), as_values(x1), as_values(x2)
     r = v1 - v0
@@ -151,9 +152,7 @@ def _squarem(x0, x1, x2, isl2: float) -> UnimodularSequence:
         return x2
     alpha = -norm_r / norm_v
     for _ in range(_SQUAREM_TRIES):
-        z = v0 - 2.0 * alpha * r + alpha * alpha * v
-        m = np.abs(z)
-        y = UnimodularSequence(np.divide(z, m, out=np.ones_like(z), where=m >= _TINY))
+        y = UnimodularSequence(unit_of(v0 - 2.0 * alpha * r + alpha * alpha * v))
         if isl_freq(y) <= isl2:
             return y
         alpha = (alpha - 1.0) / 2.0

@@ -88,8 +88,10 @@ def test_package_root_is_the_user_api():
     assert sorted(unipol.__all__) == sorted(USER_API)
 
 
-def test_forward_transform_has_one_home():
-    """np.fft.fft is called only inside metrics.spectrum_2n, the zero-padded 2N-point spectrum."""
+@pytest.mark.parametrize("call, home", [("fft", "metrics.spectrum_2n"), ("angle", "metrics.phase_of")])
+def test_forward_transform_has_one_home(call, home):
+    """np.fft.fft is called only inside metrics.spectrum_2n, the zero-padded
+    2N-point spectrum, and np.angle only inside metrics.phase_of, the phase fold."""
     sites = []
     for path in sorted(Path(unipol.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -102,9 +104,9 @@ def test_forward_transform_has_one_home():
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "fft"
+            and node.func.attr == call
         ]
-    assert sites == ["metrics.spectrum_2n"]
+    assert sites == [home]
 
 
 def test_exit_codes_are_set_in_main_alone():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unipol.baselines import BARKER_CODES, can_run, generate
+from unipol.baselines import BARKER_CODES, _can_step, can_run, generate
 from unipol.metrics import UnimodularSequence, isl_time, merit_factor, psl
 from unipol.solver import SolverConfig, init_random
 
@@ -152,3 +152,9 @@ class TestCanRun:
     def test_init_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             can_run(SolverConfig(n=10, max_iterations=5), init=init_random(11, 0))
+
+    def test_subnormal_spectrum_bin_stays_finite(self):
+        # the bin X_0 = -1e-320j is subnormal: it projects to 1, where dividing by
+        # its modulus gave NaN (and a RuntimeWarning, an error under this suite)
+        out = _can_step(UnimodularSequence([1, -1 - 1e-320j]))
+        assert np.allclose(out.values, [1.0, -1.0], rtol=0.0, atol=1e-15)

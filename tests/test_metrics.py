@@ -14,9 +14,11 @@ from unipol.metrics import (
     isl_quartic,
     isl_time,
     merit_factor,
+    phase_of,
     psl,
     sidelobe_db,
     spectrum_2n,
+    unit_of,
 )
 
 BARKER_13 = [1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1, 1]
@@ -79,6 +81,20 @@ class TestUnimodularSequence:
         phases = np.array([0.0, 1.25, 6.0])
         seq = UnimodularSequence.from_phases(phases)
         assert np.allclose(seq.phases, phases, atol=1e-15)
+
+
+class TestUnitCircleRules:
+    def test_unit_of_sends_tiny_moduli_to_the_fallback(self):
+        # 5e-324 is the smallest subnormal; dividing by its modulus overflows
+        assert np.array_equal(unit_of(np.array([0.0, 5e-324, 5e-324j, -4.0, 2j])), [1, 1, 1, -1, 1j])
+
+    def test_unit_of_takes_an_array_fallback_element_by_element(self):
+        fallback = np.array([1j, -1.0, 7.0])
+        assert np.array_equal(unit_of(np.array([0.0, 5e-324, 2j]), fallback), [1j, -1.0, 1j])
+
+    def test_phase_of_folds_to_zero_not_two_pi(self):
+        # arg = -1e-17 wraps to a value that rounds to 2*pi
+        assert np.array_equal(phase_of(np.array([np.exp(-1e-17j), 1 - 0j, -1j])), [0.0, 0.0, 1.5 * np.pi])
 
 
 class TestAutocorrelation:

@@ -14,11 +14,11 @@ import unipol.quartic as quartic
 from unipol.cli import main
 from unipol.io import SequenceFileError, read_sequence_file
 from unipol.metrics import UnimodularSequence, isl_time
-from unipol.quartic import _TIE_GAP, minimize_batch
+from unipol.quartic import minimize_batch
 from unipol.solver import SolverConfig, run, unipol_step
 from unipol.surrogate import ab_all_direct, ab_all_fast
 
-from test_quartic import anchor
+from test_quartic import _TIE_GAP, anchor
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200, database=None)
 

@@ -49,6 +49,7 @@ class TestSolverConfig:
             dict(n=5, accel=True),
             dict(n=5, accel=("squarem",)),
             dict(n=5, accel=np.str_("bogus")),
+            dict(n=5, phase_range=np.array("unit")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -115,6 +116,11 @@ class TestInitRandom:
     def test_rejects_unknown_phase_range(self):
         with pytest.raises(ValueError, match="phase_range must be one of"):
             init_random(5, 0, "narrow")
+
+    def test_rejects_non_string_phase_range(self):
+        # np.array("full") == "full" is truthy, so only the type check stops it
+        with pytest.raises(ValueError, match="phase_range must be one of"):
+            init_random(4, 0, np.array("full"))
 
 
 class TestUnipolStep:
