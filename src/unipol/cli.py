@@ -131,8 +131,7 @@ def cmd_design(args) -> int:
     if seq_path is not None:
         io_mod.write_sequence_file(seq_path, trace.final_sequence)
     if args.output is None:
-        json.dump(record, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(io_mod.run_record_text(record))
     else:
         io_mod.write_run_record(args.output, record)
         print(

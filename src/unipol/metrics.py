@@ -12,12 +12,13 @@ and grid orthogonality, which yields 2N * sum_{k != 0} |r_k|^2 = 4N * ISL
 for the one-sided ISL used throughout.)
 
 A UnimodularSequence computes its spectrum once, on the first spectrum_2n
-call, and keeps it; every later call, and every metric built on the spectrum
-(autocorrelation, isl_time, psl, isl_freq, ...), reads that copy. It is
-returned read-only, and since the values are frozen it never goes stale. Two
-threads that fill it at once compute and store identical bits, so sharing a
-sequence across threads stays safe. An array argument gets a fresh, writable
-transform each call.
+call, and its autocorrelation once, on the first autocorrelation call, and
+keeps both; every later call, and every metric built on them (isl_time, psl,
+merit_factor, sidelobe_db on the autocorrelation; isl_freq, isl_quartic on the
+spectrum), reads those copies. They are returned read-only, and since the
+values are frozen they never go stale. Two threads that fill one at once
+compute and store identical bits, so sharing a sequence across threads stays
+safe. An array argument gets a fresh, writable result each call.
 """
 
 from __future__ import annotations
@@ -59,13 +60,16 @@ class UnimodularSequence:
 
     Values (anything as_values accepts) are copied and frozen at
     construction; instances are immutable and safe to share across threads.
-    The 2N-point spectrum is filled in on the first spectrum_2n call and kept:
-    the frozen values keep it current, and two threads that fill it at once
-    write identical bits.
+    The 2N-point spectrum and the autocorrelation are filled in on the first
+    spectrum_2n and autocorrelation calls and kept: the frozen values keep
+    them current, and two threads that fill one at once write identical bits.
     """
 
     values: np.ndarray
     _spectrum: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _autocorrelation: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         arr = np.array(as_values(self.values))
@@ -128,14 +132,21 @@ def autocorrelation(x) -> np.ndarray:
 
     Returns r with r[k] = sum_n x[n+k] * conj(x[n]) for k = 0..N-1; negative
     lags follow by conjugate symmetry. Uses direct summation for N <= 64 and
-    zero-padded 2N-point transforms above.
+    zero-padded 2N-point transforms above. A UnimodularSequence computes it
+    once and returns that read-only array on every call; any other input gets
+    a fresh, writable one.
     """
+    if isinstance(x, UnimodularSequence) and x._autocorrelation is not None:
+        return x._autocorrelation
     v = as_values(x)
     n = v.size
     if n <= _FFT_THRESHOLD:
-        return np.correlate(v, v, mode="full")[n - 1 :]
-    spec = spectrum_2n(x)
-    return np.fft.ifft(spec * np.conj(spec))[:n]
+        r = np.correlate(v, v, mode="full")[n - 1 :]
+    else:
+        spec = spectrum_2n(x)
+        r = np.fft.ifft(spec * np.conj(spec))[:n]
+    # a copy, so a kept autocorrelation does not hold the 2N-point buffer it was cut from
+    return _keep(x, "_autocorrelation", r.copy())
 
 
 def isl_time(x) -> float:
@@ -191,15 +202,18 @@ def spectrum_2n(x) -> np.ndarray:
     computes it once and returns that read-only array on every call; any
     other input gets a fresh, writable transform.
     """
-    cached = isinstance(x, UnimodularSequence)
-    if cached and x._spectrum is not None:
+    if isinstance(x, UnimodularSequence) and x._spectrum is not None:
         return x._spectrum
     v = as_values(x)
-    spec = np.fft.fft(v, 2 * v.size)
-    if cached:
-        spec.flags.writeable = False
-        object.__setattr__(x, "_spectrum", spec)  # frozen instance; same bits from any thread
-    return spec
+    return _keep(x, "_spectrum", np.fft.fft(v, 2 * v.size))
+
+
+def _keep(x, name: str, value: np.ndarray) -> np.ndarray:
+    """value; if x is a UnimodularSequence, made read-only and kept on x under name."""
+    if isinstance(x, UnimodularSequence):
+        value.flags.writeable = False
+        object.__setattr__(x, name, value)  # frozen instance; same bits from any thread
+    return value
 
 
 def sidelobe_db(x) -> np.ndarray:

@@ -8,7 +8,8 @@ import pytest
 
 from unipol import bench as bench_mod
 from unipol import cli
-from unipol.baselines import generate
+from unipol import io as io_mod
+from unipol.baselines import can_run, generate
 from unipol.bench import run_bench
 from unipol.cli import main
 from unipol.io import (
@@ -16,11 +17,12 @@ from unipol.io import (
     read_run_record,
     read_sequence_file,
     run_record_dict,
+    run_record_text,
     sequence_file_text,
     write_run_record,
     write_sequence_file,
 )
-from unipol.metrics import isl_time
+from unipol.metrics import UnimodularSequence, isl_time, merit_factor, psl
 from unipol.solver import SolverConfig, init_random, run
 
 
@@ -103,6 +105,217 @@ class TestSequenceFile:
             read_sequence_file(path)
 
 
+BLOCK = io_mod._BLOCK
+
+
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    """The first argument of every np.fft.ifft call made while the test runs."""
+    calls = []
+    ifft = np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    return calls
+
+
+def per_row_text(seq):
+    """The sequence table rendered one row at a time: the reference for the block writer."""
+    rows = ["index,phase,re,im"]
+    rows += [f"{i},{t:.17g},{math.cos(t):.17g},{math.sin(t):.17g}" for i, t in enumerate(seq.phases)]
+    return "\n".join(rows) + "\n"
+
+
+def table_rows(n):
+    """Data rows of a valid n-row table; row number i + 2 is rows[i]."""
+    return sequence_file_text(init_random(n, 11)).split("\n")[1:-1]
+
+
+def row_by_row_phases(rows):
+    """The data rows checked and parsed one at a time: the reference for the block reader."""
+    phases = []
+    for rownum, line in enumerate(rows, start=2):
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise SequenceFileError(f"row {rownum}: expected 4 columns, got {len(parts)}")
+        for colnum, text in enumerate(parts, start=1):
+            if "_" in text or not text.isascii():
+                raise SequenceFileError(f"row {rownum}, column {colnum}: not an ASCII decimal: {text!r}")
+        try:
+            idx = int(parts[0])
+        except ValueError:
+            raise SequenceFileError(f"row {rownum}, column 1: bad index {parts[0]!r}") from None
+        values = []
+        for colnum, text in enumerate(parts[1:], start=2):
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise SequenceFileError(f"row {rownum}, column {colnum}: not a finite number: {text!r}")
+            values.append(value)
+        theta, re, im = values
+        if idx != rownum - 2:
+            raise SequenceFileError(f"row {rownum}, column 1: index {idx}, expected {rownum - 2}")
+        if abs(re - math.cos(theta)) > 1e-12 or abs(im - math.sin(theta)) > 1e-12:
+            raise SequenceFileError(f"row {rownum}: re/im inconsistent with phase {theta!r}")
+        phases.append(theta)
+    return phases
+
+
+def read_rows(tmp_path, rows):
+    path = tmp_path / "seq.csv"
+    path.write_text("index,phase,re,im\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return read_sequence_file(path)
+
+
+class TestBlockWrite:
+    def test_barker5_golden_text(self):
+        assert sequence_file_text(generate("barker", 5)) == (
+            "index,phase,re,im\n"
+            "0,0,1,0\n"
+            "1,0,1,0\n"
+            "2,0,1,0\n"
+            "3,3.1415926535897931,-1,1.2246467991473532e-16\n"
+            "4,0,1,0\n"
+        )
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_equals_per_row_rendering(self, n):
+        seq = init_random(n, n)
+        assert sequence_file_text(seq) == per_row_text(seq)
+
+    def test_record_file_is_one_json_document(self, tmp_path):
+        record = run_record_dict("unipol", run(SolverConfig(n=100, max_iterations=6, seed=4)))
+        path = tmp_path / "run.json"
+        write_run_record(path, record)
+        assert path.read_text(encoding="utf-8") == json.dumps(record, indent=2) + "\n"
+
+    def test_design_stdout_is_the_record_text(self, capsys):
+        assert main(["design", "-N", "70", "--iters", "3", "--seed", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out == run_record_text(json.loads(out))
+
+    def test_record_text_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            run_record_text({"finalIsl": math.nan})
+
+
+class TestBlockReadErrors:
+    """Every message names the file's first bad row, wherever the blocks fall."""
+
+    ROW = BLOCK + 7  # 0-based data row in the second block; its row number is ROW + 2
+    # spellings that int() reads as the row's own index, so only the ASCII rule rejects them
+    FULL_WIDTH = "".join(chr(ord(c) + 0xFEE0) for c in str(ROW))
+    UNDERSCORE = f"{ROW // 10}_{ROW % 10}"
+
+    @pytest.mark.parametrize("cell, column, message", [
+        (None, None, "expected 4 columns, got 3"),
+        (FULL_WIDTH, 1, f"not an ASCII decimal: {FULL_WIDTH!r}"),
+        (UNDERSCORE, 1, f"not an ASCII decimal: {UNDERSCORE!r}"),
+        ("1_0", 3, "not an ASCII decimal: '1_0'"),
+        ("x", 1, "bad index 'x'"),
+        ("7", 1, f"index 7, expected {ROW}"),
+        ("zero", 2, "not a finite number: 'zero'"),
+        ("inf", 2, "not a finite number: 'inf'"),
+        ("nan", 3, "not a finite number: 'nan'"),
+        ("1e400", 4, "not a finite number: '1e400'"),
+        ("0.5", 3, None),
+    ], ids=["columns", "full_width", "underscore_index", "underscore", "bad_index", "index_order",
+            "non_numeric", "inf_phase", "nan", "overflow", "re_im"])
+    def test_row_past_the_first_block(self, tmp_path, cell, column, message):
+        rows = table_rows(2 * BLOCK + 3)
+        cells = rows[self.ROW].split(",")
+        theta = cells[1]
+        if column is None:
+            cells = cells[:3]
+        else:
+            cells[column - 1] = cell
+        rows[self.ROW] = ",".join(cells)
+        rownum = self.ROW + 2
+        if message is None:
+            expected = f"row {rownum}: re/im inconsistent with phase {float(theta)!r}"
+        elif column is None:
+            expected = f"row {rownum}: {message}"
+        else:
+            expected = f"row {rownum}, column {column}: {message}"
+        with pytest.raises(SequenceFileError) as err:
+            read_rows(tmp_path, rows)
+        assert str(err.value) == expected
+
+    @pytest.mark.parametrize("offset, accepted", [(5e-13, True), (5e-12, False)])
+    def test_re_im_tolerance(self, tmp_path, offset, accepted):
+        rows = table_rows(2 * BLOCK + 3)
+        index, theta, re, im = rows[self.ROW].split(",")
+        rows[self.ROW] = f"{index},{theta},{float(re) + offset!r},{im}"
+        if accepted:
+            assert len(read_rows(tmp_path, rows)) == 2 * BLOCK + 3
+        else:
+            with pytest.raises(SequenceFileError, match=f"^row {self.ROW + 2}: re/im inconsistent"):
+                read_rows(tmp_path, rows)
+
+    def test_row_boundary_moved(self, tmp_path):
+        # the cells, read in order, are a valid table; only the comma count per row rejects it
+        rows = table_rows(2 * BLOCK + 3)
+        index, rest = rows[self.ROW + 1].split(",", 1)
+        rows[self.ROW] += "," + index
+        rows[self.ROW + 1] = rest
+        with pytest.raises(SequenceFileError, match=f"^row {self.ROW + 2}: expected 4 columns, got 5$"):
+            read_rows(tmp_path, rows)
+
+    @pytest.mark.parametrize("first, second", [
+        (BLOCK - 1, BLOCK), (3, 2 * BLOCK + 1), (BLOCK + 2, BLOCK + 3),
+    ], ids=["across_an_edge", "far_blocks", "same_block"])
+    def test_earlier_bad_row_wins(self, tmp_path, first, second):
+        # the later row breaks a rule checked earlier within a row: the row order still decides
+        rows = table_rows(2 * BLOCK + 3)
+        rows[first] = f"{first},0,0.5,0"
+        rows[second] = "a,b"
+        with pytest.raises(SequenceFileError, match=f"^row {first + 2}: re/im inconsistent"):
+            read_rows(tmp_path, rows)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_the_row_by_row_reader(self, tmp_path, seed):
+        # random cell edits across the blocks: same message, or same phases, as one row at a time
+        rng = np.random.default_rng(seed)
+        rows = table_rows(2 * BLOCK + 3)
+        # two blank-padded cells, which int() and float() accept, then seed % 4 bad cells
+        bad = ["", "1_0", "\uff11", "x", "nan", "-inf", "1e999", "0.5", "1e-400", "0,0", "7"]
+        for j in range(2 + seed % 4):
+            i, k = int(rng.integers(len(rows))), int(rng.integers(4))
+            cells = rows[i].split(",")
+            cells[k] = f" {cells[k]} " if j < 2 else bad[int(rng.integers(len(bad)))]
+            rows[i] = ",".join(cells)
+        path = tmp_path / "seq.csv"
+        path.write_text("index,phase,re,im\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        try:
+            expected = UnimodularSequence.from_phases(row_by_row_phases(rows))
+        except SequenceFileError as exc:
+            with pytest.raises(SequenceFileError) as err:
+                read_sequence_file(path)
+            assert str(err.value) == str(exc)
+        else:
+            assert read_sequence_file(path).values.tobytes() == expected.values.tobytes()
+
+    def test_blank_and_padded_rows_keep_their_numbers(self, tmp_path):
+        # blank lines are skipped, surrounding whitespace stripped, as row by row
+        rows = table_rows(BLOCK + 5)
+        rows[BLOCK + 1] = "  " + rows[BLOCK + 1] + "\t"
+        rows.insert(4, "")
+        seq = read_rows(tmp_path, rows)
+        assert len(seq) == BLOCK + 5
+
+    def test_form_feed_inside_a_row_is_not_a_line_break(self, tmp_path):
+        # a file iterates by "\n" only; float() strips the \f from its cell
+        rows = table_rows(3)
+        cells = rows[1].split(",")
+        rows[1] = ",".join([cells[0], cells[1] + "\f", *cells[2:]])
+        assert len(read_rows(tmp_path, rows)) == 3
+
+
 class TestRunRecord:
     def test_round_trip(self, tmp_path):
         cfg = SolverConfig(n=12, max_iterations=8, seed=3)
@@ -134,6 +347,15 @@ class TestRunRecord:
         assert (back["N"], back["maxIterations"], back["relTolerance"], back["seed"]) == (
             cfg.n, cfg.max_iterations, cfg.rel_tolerance, cfg.seed
         )
+
+    @pytest.mark.parametrize("algo, runner", [("unipol", run), ("can", can_run)])
+    def test_reuses_the_last_iterate_autocorrelation(self, inverse_calls, algo, runner):
+        trace = runner(SolverConfig(n=100, max_iterations=4, seed=6))
+        before = len(inverse_calls)
+        record = run_record_dict(algo, trace)
+        assert len(inverse_calls) == before
+        assert record["finalPsl"] == psl(trace.final_sequence.values)
+        assert record["meritFactor"] == merit_factor(trace.final_sequence.values)
 
     def test_unipol_trace_non_increasing(self):
         record = run_record_dict("unipol", run(SolverConfig(n=50, max_iterations=30, seed=2)))
@@ -245,6 +467,14 @@ class TestMetricsCommand:
         monkeypatch.setattr(np.fft, "fft", counted)
         assert main(["metrics", str(path), *flags]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["table", "json"])
+    def test_one_inverse_transform_per_file(self, tmp_path, capsys, inverse_calls, flags):
+        # ISL, PSL, merit factor, the dB levels and the table all read one kept autocorrelation
+        path = tmp_path / "chu.csv"
+        write_sequence_file(path, generate("chu", 100))
+        assert main(["metrics", str(path), *flags]) == 0
+        assert len(inverse_calls) == 1
 
     def test_barker13_report(self, tmp_path, capsys):
         path = tmp_path / "b13.csv"

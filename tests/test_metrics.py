@@ -327,6 +327,65 @@ class TestSpectrumCache:
             sys.setswitchinterval(interval)
 
 
+class TestAutocorrelationCache:
+    """A UnimodularSequence keeps its autocorrelation too; the lag metrics all read it."""
+
+    @pytest.mark.parametrize("n", [13, 300])
+    def test_sequence_returns_one_read_only_autocorrelation(self, n):
+        v = random_unimodular(n, np.random.default_rng(70 + n))
+        seq = UnimodularSequence(v)
+        first = autocorrelation(seq)
+        assert autocorrelation(seq) is first
+        assert not first.flags.writeable
+        assert first.tobytes() == autocorrelation(v).tobytes()
+        assert autocorrelation(v).flags.writeable
+        assert "_autocorrelation" not in repr(seq)
+
+    def test_lag_metrics_share_one_inverse_transform(self, monkeypatch):
+        v = random_unimodular(300, np.random.default_rng(71))
+        expected = [np.asarray(metric(v)).tobytes()
+                    for metric in (isl_time, psl, merit_factor, sidelobe_db)]
+        calls = []
+        ifft = np.fft.ifft
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        seq = UnimodularSequence(v)
+        got = [np.asarray(metric(seq)).tobytes()
+               for metric in (isl_time, psl, merit_factor, sidelobe_db)]
+        assert got == expected
+        assert len(calls) == 1
+
+    def test_threads_filling_at_once_agree(self):
+        values = random_unimodular(4096, np.random.default_rng(72))
+        expected = autocorrelation(values).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                seq = UnimodularSequence(values)
+                start = threading.Barrier(8)
+                got = [None] * 8
+
+                def fill(i):
+                    start.wait(timeout=10)
+                    got[i] = autocorrelation(seq)
+
+                workers = [threading.Thread(target=fill, args=(i,)) for i in range(8)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=10)
+                assert not any(w.is_alive() for w in workers)
+                assert all(not g.flags.writeable and g.tobytes() == expected for g in got)
+                assert autocorrelation(seq) is autocorrelation(seq)
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestInvariants:
     def test_phase_rotation_invariance(self):
         rng = np.random.default_rng(3)
