@@ -1,10 +1,11 @@
 """On-disk formats: sequence tables and run records.
 
 A sequence file is a CSV table with header ``index,phase,re,im``: 0-based
-index, phase in [0, 2*pi) radians, and the matching cosine/sine. Phases are
-written with 17 significant digits, so a write/read round trip reproduces
-them to full double precision (well inside the 1e-12 format contract).
-``re``/``im`` must agree with the phase within 1e-12. Every cell is an ASCII
+index, phase in radians, and the matching cosine/sine. The writer emits
+phases in [0, 2*pi) with 17 significant digits, so a write/read round trip
+reproduces them to full double precision (well inside the 1e-12 format
+contract). The reader takes any finite phase whose ``re``/``im`` agree with
+it within 1e-12. Every cell is an ASCII
 decimal: digit-group underscores and non-ASCII digits, which Python's
 ``int``/``float`` would take, are rejected. A UTF-8 byte-order mark is allowed.
 

@@ -21,11 +21,10 @@ mirror images across the real axis of the rotated frame with equal objective;
 the smaller theta is returned.
 
 `_real_roots_batch` finds s for every row (the module and that function keep
-their names from the quartic route); `minimize_unit` turns s into the unit
-minimizer z = `metrics.unit_of(w conj(h))`; `minimize_batch` returns theta =
-`metrics.phase_of(z)`, or z itself with unit=True, which is how the MM step
-(`solver.unipol_step`) calls it; `minimize_single` is that batch of one. Every
-step is elementwise, so a row's result does not depend on its batch. The
+their names from the quartic route); `minimize_batch`, the one entry and the
+one the MM step (`solver.unipol_step`) calls, turns s into the unit minimizer
+z = `metrics.unit_of(w conj(h))`, whose angle is theta = `metrics.phase_of(z)`.
+Every step is elementwise, so a row's result does not depend on its batch. The
 separable majorizer, the paper's contribution, is unchanged.
 """
 
@@ -35,11 +34,7 @@ import numpy as np
 
 from unipol.metrics import _TINY, phase_of, unit_of
 
-__all__ = [
-    "minimize_single",
-    "minimize_batch",
-    "minimize_unit",
-]
+__all__ = ["minimize_batch"]
 
 # Newton steps per row at most. Far left of the root the q-term dominates and a
 # step multiplies s by about 3/2, so from s >= q the angle q/s still to go
@@ -57,7 +52,7 @@ def _real_roots_batch(p: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray
     at its first step that does not rise, or after _NEWTON_CAP steps. The hard
     case, q = 0 and p <= t, returns 0; so does a subnormal start, whose q is
     below any angle a double can hold next to 1 (and where the steps would
-    round to nothing). Rows are expected scaled to about 1, as minimize_unit
+    round to nothing). Rows are expected scaled to about 1, as minimize_batch
     sends them.
     """
     s = np.maximum(q, p - t)
@@ -79,7 +74,7 @@ def _real_roots_batch(p: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray
     return s
 
 
-def minimize_unit(a, b) -> np.ndarray:
+def minimize_batch(a, b) -> np.ndarray:
     """Global minimizers z of Re(a_q z^2 - b_q z) on |z| = 1, per row, as unit complex values.
 
     Each row is first scaled by a power of two, exactly, so its largest real
@@ -119,21 +114,3 @@ def minimize_unit(a, b) -> np.ndarray:
     z[largest == 0.0] = 1.0
     return z
 
-
-def minimize_batch(a, b, unit: bool = False) -> np.ndarray:
-    """Global minimizers theta of Re(a_q e^{2j theta} - b_q e^{j theta}) on [0, 2*pi), per row.
-
-    theta = metrics.phase_of(z) of minimize_unit's z, so the hard case takes the
-    smaller theta and a = b = 0 returns 0.0; with unit=True z itself is returned.
-    """
-    z = minimize_unit(a, b)
-    return z if unit else phase_of(z)
-
-
-def minimize_single(a: complex, b: complex) -> float:
-    """Minimizer theta* in [0, 2*pi) of Re(a e^{2j theta} - b e^{j theta}).
-
-    For a = b = 0 the objective is constant and 0.0 is returned (smallest
-    theta under the tie-break rule).
-    """
-    return float(minimize_batch(np.array([a]), np.array([b]))[0])

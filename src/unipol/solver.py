@@ -20,7 +20,7 @@ import numpy as np
 
 from unipol.metrics import UnimodularSequence, as_values, isl_freq, isl_time, spectrum_2n, unit_of
 from unipol.quartic import minimize_batch
-from unipol.surrogate import ab_all_direct, ab_all_fast
+from unipol.surrogate import ab_all_fast
 
 __all__ = ["SolverConfig", "RunTrace", "init_random", "unipol_step", "run"]
 
@@ -99,8 +99,11 @@ class RunTrace:
     isl_per_iteration: np.ndarray
     wall_time_per_iteration: np.ndarray
     final_sequence: UnimodularSequence
-    iterations_run: int
     config: SolverConfig
+
+    @property
+    def iterations_run(self) -> int:
+        return self.wall_time_per_iteration.size
 
     @property
     def cumulative_seconds(self) -> np.ndarray:
@@ -117,20 +120,17 @@ def init_random(n: int, seed: int, phase_range: str = "full") -> UnimodularSeque
     return UnimodularSequence.from_phases(theta)
 
 
-def unipol_step(xt, fast_path: bool = True) -> UnimodularSequence:
+def unipol_step(xt) -> UnimodularSequence:
     """One simultaneous MM update of every variable from the snapshot xt.
 
     For N = 1 the surrogate is constant and the step returns its input.
-    isl_time never increases across a step. Passing False as the second
-    argument swaps ab_all_fast for the O(N^2) ab_all_direct oracle, which
-    tests use as the reference.
+    isl_time never increases across a step.
     """
     v = as_values(xt)
     if v.size == 1:
         return UnimodularSequence(v)
-    a, b = ab_all_fast(xt) if fast_path else ab_all_direct(v)
-    # minimize_batch, not minimize_unit: the name perfbench/spans.py times the kernel under
-    return UnimodularSequence(minimize_batch(a, b, unit=True))
+    # ab_all_fast and minimize_batch are looked up here, where perfbench/spans.py patches them
+    return UnimodularSequence(minimize_batch(*ab_all_fast(xt)))
 
 
 def _squarem(x0, x1, x2, isl2: float) -> UnimodularSequence:
@@ -202,7 +202,6 @@ def _run_loop(
         isl_per_iteration=np.asarray(isl),
         wall_time_per_iteration=np.asarray(durations),
         final_sequence=x,
-        iterations_run=len(durations),
         config=cfg,
     )
 

@@ -22,10 +22,12 @@ import numpy as np
 from unipol.baselines import can_run, generate
 from unipol.cli import main
 from unipol.io import read_run_record, read_sequence_file
-from unipol.metrics import isl_freq, isl_quartic, isl_time, merit_factor, psl
-from unipol.quartic import minimize_single
+from unipol.metrics import isl_freq, isl_quartic, isl_time, merit_factor, phase_of, psl
+from unipol.quartic import minimize_batch
 from unipol.solver import SolverConfig, init_random, run, unipol_step
 from unipol.surrogate import ab_all_direct, ab_all_fast, surrogate_value
+
+from test_solver import direct_step
 
 
 def report(cid: str, ok: bool, detail: str = ""):
@@ -85,7 +87,7 @@ def test_criterion_4_minimizer_vs_grid():
     a[:100] = 0.0
     b[:100] = -np.abs(b[:100].real) - 0.5
 
-    theta = np.array([minimize_single(ai, bi) for ai, bi in zip(a, b)])
+    theta = np.array([phase_of(minimize_batch(ai, bi))[0] for ai, bi in zip(a, b)])
     achieved = (a * np.exp(2j * theta) - b * np.exp(1j * theta)).real
 
     grid = np.linspace(0.0, 2 * np.pi, 1_000_001)[:-1]
@@ -141,12 +143,12 @@ def test_criterion_6_known_sequence_anchors():
     report("6", ok, "; ".join(detail))
 
 
-def median_step_seconds(n, fast, reps, seed=0):
+def median_step_seconds(n, step, reps, seed=0):
     x = init_random(n, seed)
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        x = unipol_step(x, fast_path=fast)
+        x = step(x)
         times.append(time.perf_counter() - t0)
     return float(np.median(times))
 
@@ -170,8 +172,8 @@ def test_criterion_7_complexity_scaling():
     t1024, t2048 = float(np.median(t1)), float(np.median(t2))
     ratio = t2048 / t1024
 
-    t_fast = median_step_seconds(4096, True, 7)
-    t_direct = median_step_seconds(4096, False, 3)
+    t_fast = median_step_seconds(4096, unipol_step, 7)
+    t_direct = median_step_seconds(4096, direct_step, 3)
     speedup = t_direct / t_fast
     ok = ratio <= 2.6 and speedup >= 10.0
     report(

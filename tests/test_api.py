@@ -6,6 +6,7 @@ nothing beyond the standard library and numpy."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -77,11 +78,31 @@ USER_API = {
     "module, name",
     [("surrogate", "ab_all_direct"), ("surrogate", "ab_all_fast"), ("surrogate", "surrogate_value"),
      ("metrics", "isl_quartic"), ("metrics", "spectrum_2n"), ("quartic", "minimize_batch"),
-     ("quartic", "minimize_single"), ("solver", "unipol_step")],
+     ("solver", "unipol_step")],
 )
 def test_kernels_live_in_their_modules(module, name):
     assert name in importlib.import_module(f"unipol.{module}").__all__
     assert not hasattr(unipol, name)
+
+
+def test_one_kernel_entry_and_one_step_signature():
+    """The MM step is unipol_step(xt) into minimize_batch(a, b), quartic's one
+    entry, and no module but surrogate, its home, names the ab_all_direct oracle."""
+    quartic = importlib.import_module("unipol.quartic")
+    solver = importlib.import_module("unipol.solver")
+    assert quartic.__all__ == ["minimize_batch"]
+    assert len(inspect.signature(solver.unipol_step).parameters) == 1
+    assert len(inspect.signature(quartic.minimize_batch).parameters) == 2
+    referring = sorted(
+        path.stem
+        for path in Path(unipol.__file__).parent.glob("*.py")
+        if any(
+            getattr(node, field, None) == "ab_all_direct"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            for field in ("id", "attr", "name", "value")  # Name, Attribute, alias and def, Constant
+        )
+    )
+    assert referring == ["surrogate"]  # the walk sees the definition itself
 
 
 def test_package_root_is_the_user_api():

@@ -33,6 +33,12 @@ class TestSequenceFile:
         write_sequence_file(path, seq)
         back = read_sequence_file(path)
         assert np.max(np.abs(back.phases - seq.phases)) <= 1e-12
+        # the writer emits phases in [0, 2*pi); the reader takes any finite phase
+        # whose re/im match it
+        theta = [7.0, -1.0]
+        path.write_text("index,phase,re,im\n" + "".join(
+            f"{i},{t!r},{math.cos(t)!r},{math.sin(t)!r}\n" for i, t in enumerate(theta)))
+        assert np.max(np.abs(read_sequence_file(path).values - np.exp(1j * np.array(theta)))) <= 1e-12
 
     def test_text_shape(self):
         text = sequence_file_text(generate("barker", 5))

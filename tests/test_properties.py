@@ -18,7 +18,7 @@ from unipol.quartic import minimize_batch
 from unipol.solver import SolverConfig, run, unipol_step
 from unipol.surrogate import ab_all_direct, ab_all_fast
 
-from test_quartic import _TIE_GAP, anchor
+from test_quartic import _TIE_GAP, anchor, theta_of
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200, database=None)
 
@@ -52,7 +52,7 @@ def subproblem_rows(draw):
 @given(subproblem_rows())
 def test_minimize_batch_against_dense_grid(row):
     a, b = row
-    theta = minimize_batch(np.array([a]), np.array([b]))[0]
+    theta = theta_of(np.array([a]), np.array([b]))[0]
     assert 0.0 <= theta < 2 * np.pi
     scale = abs(a) + abs(b)
     excess = objective(a, b, theta) - objective(a, b, GRID).min()

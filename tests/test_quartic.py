@@ -8,12 +8,18 @@ import numpy as np
 import pytest
 
 import unipol.quartic as quartic
-from unipol.quartic import minimize_batch, minimize_single, minimize_unit
+from unipol.metrics import phase_of
+from unipol.quartic import minimize_batch
 from unipol.solver import init_random, unipol_step
 from unipol.surrogate import ab_all_fast
 
 # Objective slack, times min(1, |a| + |b|), that the grid and triple-point bounds allow.
 _TIE_GAP = 1e-12
+
+
+def theta_of(a, b):
+    """Angles theta = metrics.phase_of(z) in [0, 2 pi) of minimize_batch's unit minimizers z."""
+    return phase_of(minimize_batch(a, b))
 
 
 def objective(a, b, theta):
@@ -162,21 +168,21 @@ class TestRootGate:
 
 class TestMinimizeSingle:
     def test_positive_real_b(self):
-        assert minimize_single(0, 2) == pytest.approx(0.0, abs=1e-12)
+        assert theta_of(0, 2)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_real_b_needs_pi_candidate(self):
         # theta = pi, the minimizer here, is the one angle the half-angle
         # substitution cannot reach; the anchor rotation brings it into range
-        theta = minimize_single(0, -2)
+        theta = theta_of(0, -2)[0]
         assert theta == pytest.approx(np.pi, abs=1e-12)
         assert objective(0, -2, theta) < objective(0, -2, 0.0)
 
     def test_real_a_tie_breaks_to_smallest(self):
         # cos(2 theta) minimized at pi/2 and 3pi/2; smallest wins
-        assert minimize_single(1, 0) == pytest.approx(np.pi / 2, abs=1e-12)
+        assert theta_of(1, 0)[0] == pytest.approx(np.pi / 2, abs=1e-12)
 
     def test_constant_objective_returns_zero(self):
-        assert minimize_single(0, 0) == 0.0
+        assert theta_of(0, 0)[0] == 0.0
 
     @pytest.mark.parametrize(
         "a, b, expected",
@@ -190,7 +196,7 @@ class TestMinimizeSingle:
     )
     def test_tiny_rows_are_not_constant(self, a, b, expected):
         # only a = b = 0 is constant, however small the row
-        assert minimize_single(a, b) == pytest.approx(expected, abs=1e-12)
+        assert theta_of(a, b)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_stationarity_of_root_candidates(self):
         rng = np.random.default_rng(3)
@@ -198,7 +204,7 @@ class TestMinimizeSingle:
         for _ in range(500):
             a = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
             b = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            theta = minimize_single(a, b)
+            theta = theta_of(a, b)[0]
             deriv = (objective(a, b, theta + h) - objective(a, b, theta - h)) / (2 * h)
             assert abs(deriv) <= 1e-6 * (abs(a) + abs(b) + 1)
 
@@ -210,7 +216,7 @@ class TestMinimizeSingle:
         for _ in range(200):
             a = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
             b = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            theta = minimize_single(a, b)
+            theta = theta_of(a, b)[0]
             grid_best = np.min(
                 a.real * cos_2t - a.imag * sin_2t - b.real * cos_t + b.imag * sin_t
             )
@@ -221,7 +227,7 @@ class TestMinimizeSingle:
         for _ in range(200):
             a = complex(rng.normal(), rng.normal())
             b = complex(rng.normal(), rng.normal())
-            theta = minimize_single(a, b)
+            theta = theta_of(a, b)[0]
             assert 0.0 <= theta < 2 * np.pi
 
 
@@ -230,8 +236,8 @@ class TestMinimizeBatch:
         rng = np.random.default_rng(13)
         a = rng.normal(size=50) + 1j * rng.normal(size=50)
         b = rng.normal(size=50) + 1j * rng.normal(size=50)
-        batch = minimize_batch(a, b)
-        singles = np.array([minimize_single(ai, bi) for ai, bi in zip(a, b)])
+        batch = theta_of(a, b)
+        singles = np.array([theta_of(ai, bi)[0] for ai, bi in zip(a, b)])
         assert np.array_equal(batch, singles)
 
     @pytest.mark.parametrize(
@@ -253,14 +259,14 @@ class TestMinimizeBatch:
             minimize_batch(np.asarray(a), np.asarray(b))
 
     def test_scalar_rows(self):
-        theta = minimize_batch(1.0 + 0j, 0.0)
+        theta = theta_of(1.0 + 0j, 0.0)
         assert theta.shape == (1,)
-        assert theta[0] == minimize_single(1.0 + 0j, 0.0)
+        assert theta[0] == theta_of([1.0 + 0j], [0.0])[0]
 
     def test_degenerate_rows_use_fallback(self):
         a = np.array([0.0 + 0j, 1.0 + 0j])
         b = np.array([0.0 + 0j, 0.0 + 0j])
-        theta = minimize_batch(a, b)
+        theta = theta_of(a, b)
         assert theta[0] == 0.0
         assert theta[1] == pytest.approx(np.pi / 2, abs=1e-12)
 
@@ -275,7 +281,7 @@ class TestSingleRootRouteAdversarial:
 
     def grid_excess(self, a, b):
         """Objective at minimize_batch's theta minus the grid minimum, per row."""
-        theta = minimize_batch(a, b)
+        theta = theta_of(a, b)
         assert np.all((theta >= 0.0) & (theta < 2 * np.pi))
         got = objective(a, b, theta)
         cos_t, sin_t = np.cos(self.GRID), np.sin(self.GRID)
@@ -350,7 +356,7 @@ class TestSingleRootRouteAdversarial:
         r = 10.0 ** rng.uniform(-3, 4, size=3000)
         gamma = 2 * np.pi * rng.random(r.size)
         a, b = r * np.exp(2j * gamma), -4.0 * r * np.exp(1j * gamma)
-        excess = objective(a, b, minimize_batch(a, b)) + 3.0 * r
+        excess = objective(a, b, theta_of(a, b)) + 3.0 * r
         scale = np.abs(a) + np.abs(b)
         bound = _TIE_GAP * np.minimum(1.0, scale) + 1e-13 * scale
         assert np.all(excess <= bound), int(np.sum(excess > bound))
@@ -370,8 +376,8 @@ class TestSingleRootRouteAdversarial:
                    rng.normal(size=20) + 1j * rng.normal(size=20))]
         a = np.concatenate([p[0] for p in pieces])
         b = np.concatenate([p[1] for p in pieces])
-        batch = minimize_batch(a, b)
-        singles = np.array([minimize_single(ai, bi) for ai, bi in zip(a, b)])
+        batch = theta_of(a, b)
+        singles = np.array([theta_of(ai, bi)[0] for ai, bi in zip(a, b)])
         assert np.array_equal(batch, singles)
         self.assert_grid_optimal(a, b)
 
@@ -382,7 +388,7 @@ class TestClosedFormAgainstEigOracle:
     def assert_no_worse_than_eig(self, a, b):
         # With a zero tie gap the oracle returns its best candidate, so the
         # comparison sees the routes, not which side of the gap a near-tie falls on.
-        got = objective(a, b, minimize_batch(a, b))
+        got = objective(a, b, theta_of(a, b))
         ref = objective(a, b, quartic_minimize(a, b, tie_gap=0.0))
         excess = (got - ref) / (np.abs(a) + np.abs(b))
         assert np.all(excess <= 1e-15), float(np.max(excess))
@@ -447,7 +453,7 @@ class TestSecularKernel:
     def test_a_zero_points_against_b(self):
         rng = np.random.default_rng(80)
         b = (rng.normal(size=200) + 1j * rng.normal(size=200)) * 10.0 ** rng.uniform(-300, 300, 200)
-        theta = minimize_batch(np.zeros_like(b), b)
+        theta = theta_of(np.zeros_like(b), b)
         assert np.all(np.abs(np.exp(1j * theta) - b.conj() / np.abs(b)) <= 1e-15)
 
     def test_a_below_the_normal_range_points_against_b(self):
@@ -455,7 +461,7 @@ class TestSecularKernel:
         # where dividing by the subnormal modulus gave NaN
         rng = np.random.default_rng(84)
         a, b = np.exp(2j * np.pi * rng.random((2, 200))) * 10.0 ** rng.uniform(-300, 300, 200)
-        z = minimize_unit(1e-310 * a, b)
+        z = minimize_batch(1e-310 * a, b)
         assert np.all(np.abs(z - b.conj() / np.abs(b)) <= 1e-15)
 
     def test_b_zero_takes_the_smaller_of_two_minimizers(self):
@@ -463,7 +469,7 @@ class TestSecularKernel:
         rng = np.random.default_rng(81)
         phi = 2 * np.pi * rng.random(200)
         a = np.exp(1j * phi) * 10.0 ** rng.uniform(-300, 300, size=200)
-        theta = minimize_batch(a, np.zeros_like(a))
+        theta = theta_of(a, np.zeros_like(a))
         assert np.allclose(theta, np.mod((np.pi - phi) / 2, np.pi), rtol=0.0, atol=1e-12)
 
     def test_exact_hard_case_ties_to_the_smallest_theta(self):
@@ -473,9 +479,9 @@ class TestSecularKernel:
         rng = np.random.default_rng(82)
         size = 10.0 ** rng.uniform(-300, 300, size=300)
         ratio = rng.uniform(-4.0, 4.0, size=300)
-        theta = minimize_batch(size + 0j, size * ratio + 0j)
+        theta = theta_of(size + 0j, size * ratio + 0j)
         assert np.allclose(theta, np.arccos(ratio / 4), rtol=0.0, atol=1e-12)
-        theta = minimize_batch(-size + 0j, 1j * size * ratio)
+        theta = theta_of(-size + 0j, 1j * size * ratio)
         u = np.arcsin(ratio / 4)
         assert np.allclose(theta, np.minimum(np.mod(-u, 2 * np.pi), np.pi + u), rtol=0.0, atol=1e-12)
 
@@ -484,11 +490,11 @@ class TestSecularKernel:
         # six steps leave these rows short, and every row stops by itself before
         # _NEWTON_CAP, so a larger cap changes no bit
         a, b = triple_rows(np.random.default_rng(2026), 3000)
-        theta = minimize_batch(a, b)
+        theta = theta_of(a, b)
         monkeypatch.setattr(quartic, "_NEWTON_CAP", 6)
-        assert not np.array_equal(minimize_batch(a, b), theta)
+        assert not np.array_equal(theta_of(a, b), theta)
         monkeypatch.setattr(quartic, "_NEWTON_CAP", 10_000)
-        assert np.array_equal(minimize_batch(a, b), theta)
+        assert np.array_equal(theta_of(a, b), theta)
 
     def test_extreme_scales_change_no_bit(self):
         # a power-of-two scale is undone exactly, so rows at 5e-324 and near 1e300
@@ -496,14 +502,14 @@ class TestSecularKernel:
         rng = np.random.default_rng(83)
         k = rng.integers(-(2**20), 2**20, size=(4, 500)).astype(float)
         a, b = k[0] + 1j * k[1], k[2] + 1j * k[3]
-        theta = minimize_batch(a, b)
+        theta = theta_of(a, b)
         for scale in (2.0**-1074, 2.0**976):
-            assert np.array_equal(minimize_batch(a * scale, b * scale), theta)
-        lopsided = minimize_batch([5e-324, 1e300, 1e300j, 5e-324j], [1e300, 5e-324j, -5e-324, 1e300])
+            assert np.array_equal(theta_of(a * scale, b * scale), theta)
+        lopsided = theta_of([5e-324, 1e300, 1e300j, 5e-324j], [1e300, 5e-324j, -5e-324, 1e300])
         assert np.all((lopsided >= 0.0) & (lopsided < 2 * np.pi))
         # a subnormal q next to a triple point is the hard case: Newton steps
         # from s = q would round to nothing 3.5e-3 rad short of theta = pi
-        assert minimize_single(1.0, -4.0 + 1e-320j) == np.pi
+        assert theta_of(1.0, -4.0 + 1e-320j)[0] == np.pi
 
     def test_slow_rows_leave_fast_rows_bitwise_alone(self):
         # each row stops on its own, so fast rows solved beside slow triple rows
@@ -513,11 +519,11 @@ class TestSecularKernel:
         b = rng.normal(size=300) + 1j * rng.normal(size=300)
         slow_a, slow_b = triple_rows(rng, 300)
         order = rng.permutation(600)
-        mixed = minimize_batch(np.concatenate([a, slow_a])[order], np.concatenate([b, slow_b])[order])
+        mixed = theta_of(np.concatenate([a, slow_a])[order], np.concatenate([b, slow_b])[order])
         fast = np.empty(600)
         fast[order] = mixed
-        assert np.array_equal(fast[:300], minimize_batch(a, b))
-        assert np.array_equal(fast[:50], [minimize_single(ai, bi) for ai, bi in zip(a[:50], b[:50])])
+        assert np.array_equal(fast[:300], theta_of(a, b))
+        assert np.array_equal(fast[:50], [theta_of(ai, bi)[0] for ai, bi in zip(a[:50], b[:50])])
 
     def test_traced_peak_holds_no_per_candidate_tables(self):
         # a few dozen row-length temporaries (29x the output here); one more
@@ -528,7 +534,7 @@ class TestSecularKernel:
         b = rng.normal(size=m) + 1j * rng.normal(size=m)
         tracemalloc.start()
         try:
-            out = minimize_batch(a, b)
+            out = theta_of(a, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -541,7 +547,7 @@ class TestSecularKernel:
             x = init_random(n, seed)
             for _ in range(3):
                 a, b = ab_all_fast(x)
-                theta = minimize_batch(a, b)
+                theta = theta_of(a, b)
                 gap = np.mod(theta - long_double_polish(a, b, theta) + np.pi, 2 * np.pi) - np.pi
                 assert np.max(np.abs(gap)) <= 1e-10, float(np.max(np.abs(gap)))
                 x = unipol_step(x)
@@ -580,7 +586,7 @@ def adversarial_rows(name, rng):
      "degree_one", "near_triple", "hard_case_ties", "constant", "subnormal", "huge", "lopsided"],
 )
 def test_minimize_unit_returns_unit_values(name):
-    z = minimize_unit(*adversarial_rows(name, np.random.default_rng(90)))
+    z = minimize_batch(*adversarial_rows(name, np.random.default_rng(90)))
     assert np.all(np.abs(np.abs(z) - 1.0) <= 1e-12), float(np.max(np.abs(np.abs(z) - 1.0)))
     if name == "constant":
         assert np.all(z == 1.0)

@@ -6,8 +6,14 @@ import pytest
 from unipol import solver
 from unipol.baselines import _can_step, can_run
 from unipol.metrics import UnimodularSequence, isl_quartic, isl_time
+from unipol.quartic import minimize_batch
 from unipol.solver import SolverConfig, _run_loop, init_random, run, unipol_step
-from unipol.surrogate import surrogate_value
+from unipol.surrogate import ab_all_direct, surrogate_value
+
+
+def direct_step(x):
+    """unipol_step with the O(N^2) ab_all_direct oracle in place of ab_all_fast, for N >= 2."""
+    return UnimodularSequence(minimize_batch(*ab_all_direct(x)))
 
 
 class TestSolverConfig:
@@ -166,8 +172,8 @@ class TestUnipolStep:
 
     def test_fast_and_direct_agree(self):
         xt = init_random(64, 5)
-        a = unipol_step(xt, fast_path=True)
-        b = unipol_step(xt, fast_path=False)
+        a = unipol_step(xt)
+        b = direct_step(xt)
         assert np.max(np.abs(a.values - b.values)) < 1e-9
 
     def test_output_unimodular(self):
@@ -226,7 +232,7 @@ class TestRun:
         for n in (16, 64, 128):
             cfg = SolverConfig(n=n, max_iterations=15, seed=n)
             fast = run(cfg)
-            direct = _run_loop(lambda x: unipol_step(x, fast_path=False), cfg, None)
+            direct = _run_loop(direct_step, cfg, None)
             a, b = fast.isl_per_iteration, direct.isl_per_iteration
             assert np.max(np.abs(a - b) / np.maximum(1.0, a)) <= 1e-6
 
