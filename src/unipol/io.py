@@ -20,6 +20,9 @@ maxIterations, relTolerance, accel, islTrace, timeTraceSeconds, finalPhases,
 finalIsl, finalPsl, meritFactor}. accel is the outer scheme the run used,
 "squarem" or "none" (always "none" for CAN). timeTraceSeconds is the
 cumulative wall time with a leading 0.0, pairing 1:1 with islTrace.
+finalIsl is the last islTrace entry, the Parseval value (isl_freq); ``unipol
+metrics`` reads the lag route (isl_time), and acceptance criterion 1 bounds
+the gap between the two at 1e-10 relative.
 meritFactor is null only for N = 1, where it is undefined. For N >= 2 it is finite: a unimodular
 sequence has |r_{N-1}| = |x_{N-1}| * |x_0| = 1, so ISL >= 1.
 """

@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from unipol.metrics import UnimodularSequence, as_values, isl_freq, isl_time, spectrum_2n, unit_of
+from unipol.metrics import UnimodularSequence, as_values, isl_freq, spectrum_2n, unit_of
+from unipol.metrics import isl_time  # noqa: F401  perfbench/spans.py patches solver.isl_time
 from unipol.quartic import minimize_batch
 from unipol.surrogate import ab_all_fast
 
@@ -88,12 +89,13 @@ class RunTrace:
     """Per-iteration record of one solver run.
 
     isl_per_iteration[0] is the ISL of the initial sequence, so its length is
-    iterations_run + 1: one entry per map evaluation. wall_time_per_iteration
-    holds the duration of each evaluation (ISL bookkeeping excluded), of the
-    new iterate's 2N-point spectrum (which the next evaluation and the
-    bookkeeping read), and of any SQUAREM extrapolation and its ISL checks
-    made just before it; cumulative_seconds pairs 1:1 with isl_per_iteration
-    via a leading 0.0.
+    iterations_run + 1: one entry per map evaluation, each isl_freq of its
+    iterate (Parseval on its kept spectrum; isl_time agrees to rounding).
+    wall_time_per_iteration holds the duration of each evaluation (ISL
+    bookkeeping excluded), of the new iterate's 2N-point spectrum (which the
+    next evaluation and the bookkeeping read), and of any SQUAREM
+    extrapolation and its ISL checks made just before it; cumulative_seconds
+    pairs 1:1 with isl_per_iteration via a leading 0.0.
     """
 
     isl_per_iteration: np.ndarray
@@ -171,13 +173,14 @@ def _run_loop(
     the three iterates before it, whenever the budget has room for that call.
     Each new iterate's spectrum is taken inside the timed evaluation, so the
     step that reads it next and the ISL bookkeeping in between transform
-    nothing forward.
+    nothing forward. The bookkeeping is isl_freq on that spectrum, the same
+    route as SQUAREM's checks, so it makes no inverse transform either.
     """
     x = init_random(cfg.n, cfg.seed, cfg.phase_range) if init is None else UnimodularSequence(init)
     if len(x) != cfg.n:
         raise ValueError(f"init has length {len(x)}, config says {cfg.n}")
 
-    isl = [isl_time(x)]
+    isl = [isl_freq(x)]
     durations = []
     cycle = [x]  # the iterates x0, x1, x2 since the last extrapolation
     slow_streak = 0
@@ -188,7 +191,7 @@ def _run_loop(
         x = step(x)
         spectrum_2n(x)
         durations.append(time.perf_counter() - t0)
-        isl.append(isl_time(x))
+        isl.append(isl_freq(x))
         if cfg.accel == "squarem":
             cycle.append(x)
         if cfg.rel_tolerance > 0.0:

@@ -5,7 +5,7 @@ import pytest
 
 from unipol import solver
 from unipol.baselines import _can_step, can_run
-from unipol.metrics import UnimodularSequence, isl_quartic, isl_time
+from unipol.metrics import UnimodularSequence, isl_freq, isl_quartic, isl_time
 from unipol.quartic import minimize_batch
 from unipol.solver import SolverConfig, _run_loop, init_random, run, unipol_step
 from unipol.surrogate import ab_all_direct, surrogate_value
@@ -238,11 +238,11 @@ class TestRun:
 
 
 def _hand_loop(step, x, budget):
-    """The plain loop written out: one step and one isl_time per evaluation."""
-    isl = [isl_time(x)]
+    """The plain loop written out: one step and one isl_freq per evaluation."""
+    isl = [isl_freq(x)]
     for _ in range(budget):
         x = step(x)
-        isl.append(isl_time(x))
+        isl.append(isl_freq(x))
     return np.asarray(isl), x
 
 
@@ -266,7 +266,7 @@ class TestAcceleratedLoop:
     @pytest.mark.parametrize("budget", range(1, 8))
     def test_final_sequence_is_the_last_recorded_iterate(self, budget):
         trace = run(SolverConfig(n=40, max_iterations=budget, seed=3))
-        assert isl_time(trace.final_sequence) == trace.isl_per_iteration[-1]
+        assert isl_freq(trace.final_sequence) == trace.isl_per_iteration[-1]
 
     def test_extrapolation_beats_plain_mm(self):
         cfg = SolverConfig(n=100, max_iterations=200, seed=0)
@@ -279,7 +279,7 @@ class TestAcceleratedLoop:
         cfg = SolverConfig(n=30, max_iterations=2000, rel_tolerance=1e-3, seed=4)
         trace = run(cfg)
         assert trace.iterations_run < 2000
-        assert isl_time(trace.final_sequence) == trace.isl_per_iteration[-1]
+        assert isl_freq(trace.final_sequence) == trace.isl_per_iteration[-1]
         isl = trace.isl_per_iteration
         assert np.all(isl[1:] <= isl[:-1] * (1 + 1e-9) + 1e-9)
         assert np.all(isl[-3:] >= isl[-4:-1] * (1 - 1e-3))  # the streak that stopped it
@@ -314,32 +314,45 @@ class TestAcceleratedLoop:
         assert trace.config.accel == "none"
 
 
+def _count_calls(monkeypatch, name):
+    """The first argument of every np.fft.<name> call made while the test runs."""
+    calls = []
+    transform = getattr(np.fft, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 class TestOneTransformPerIterate:
     """Each iterate's 2N-point spectrum is computed once: the step and the ISL
     bookkeeping of a run read it, so K evaluations make K + 1 forward transforms
-    (the start's and one per new iterate), plus one per SQUAREM candidate."""
+    (the start's and one per new iterate), plus one per SQUAREM candidate. The
+    bookkeeping (isl_freq) inverts nothing, so the only inverse transforms are
+    the step's own: two per MM step (in ab_all_fast), one per CAN step."""
 
     @pytest.fixture
     def forward(self, monkeypatch):
-        calls = []
-        fft = np.fft.fft
+        return _count_calls(monkeypatch, "fft")
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return fft(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "fft", counted)
-        return calls
+    @pytest.fixture
+    def inverse(self, monkeypatch):
+        return _count_calls(monkeypatch, "ifft")
 
     @pytest.mark.parametrize("n", [40, 100])
-    def test_plain_mm(self, forward, n):
+    def test_plain_mm(self, forward, inverse, n):
         run(SolverConfig(n=n, max_iterations=9, seed=2, accel="none"))
         assert len(forward) == 9 + 1
+        assert len(inverse) == 2 * 9
 
     @pytest.mark.parametrize("n", [40, 100])
-    def test_can(self, forward, n):
+    def test_can(self, forward, inverse, n):
         can_run(SolverConfig(n=n, max_iterations=9, seed=2))
         assert len(forward) == 9 + 1
+        assert len(inverse) == 9
 
     @pytest.mark.parametrize("n", [40, 100])
     def test_squarem_adds_only_its_candidates(self, forward, monkeypatch, n):
@@ -352,8 +365,9 @@ class TestOneTransformPerIterate:
 
         monkeypatch.setattr(solver, "isl_freq", counted)
         run(SolverConfig(n=n, max_iterations=12, seed=2))
-        assert checks
-        assert len(forward) <= 12 + 1 + len(checks)
+        candidates = len(checks) - (12 + 1)  # the rest are the loop's ISL records
+        assert candidates > 0
+        assert len(forward) <= 12 + 1 + candidates
 
 
 class TestSandwich:

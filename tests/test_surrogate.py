@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unipol.metrics import UnimodularSequence, isl_quartic
+from unipol.metrics import isl_quartic
 from unipol.surrogate import _CHUNK, _alphas, ab_all_direct, ab_all_fast, surrogate_value
 
 
