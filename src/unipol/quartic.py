@@ -36,11 +36,11 @@ from unipol.metrics import _TINY, phase_of, unit_of
 
 __all__ = ["minimize_batch"]
 
-# Newton steps per row at most. Far left of the root the q-term dominates and a
-# step multiplies s by about 3/2, so from s >= q the angle q/s still to go
-# shrinks like (2/3)^k. Solver rows stop within 4 steps, rows next to a triple
-# point (p = t, q ~ 1e-16 t) within 43; after 64 the angle left is below 1e-11
-# and the objective gap below 1e-22 (|a| + |b|).
+# Newton passes per batch at most; a batch makes as many as its slowest row needs.
+# Far left of the root the q-term dominates and a step multiplies s by about 3/2,
+# so from s >= q the angle q/s still to go shrinks like (2/3)^k. Solver rows stop
+# within 4 passes, rows next to a triple point (p = t, q ~ 1e-16 t) within 43;
+# after 64 the angle left is below 1e-11 and the objective gap below 1e-22 (|a| + |b|).
 _NEWTON_CAP = 64
 
 
@@ -48,8 +48,9 @@ def _real_roots_batch(p: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray
     """Root s (M,) of p^2/(s + t)^2 + q^2/s^2 = 1 per row, 0 in the hard case.
 
     Newton on 1/|w(s)| - 1, which is concave and rising, from the left end
-    s = max(q, p - t): each step rises toward the root, and a row is frozen
-    at its first step that does not rise, or after _NEWTON_CAP steps. The hard
+    s = max(q, p - t). Each pass steps every row and keeps only rising steps,
+    so a row that stops rising is frozen in place (a step from the same s is
+    the same step) until no row rises, or for _NEWTON_CAP passes. The hard
     case, q = 0 and p <= t, returns 0; so does a subnormal start, whose q is
     below any angle a double can hold next to 1 (and where the steps would
     round to nothing). Rows are expected scaled to about 1, as minimize_batch
@@ -57,20 +58,18 @@ def _real_roots_batch(p: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray
     """
     s = np.maximum(q, p - t)
     s[s < _TINY] = 0.0
-    rows = np.flatnonzero(s)
-    p, q, t = p[rows], q[rows], t[rows]
-    for _ in range(_NEWTON_CAP):
-        if not rows.size:
-            break
-        sr = s[rows]
-        d = sr + t
-        u, v = p / d, q / sr
-        e = v * v - (sr + (t - p)) * (d + p) / (d * d)  # |w|^2 - 1, free of cancellation
-        n = np.sqrt(1.0 + e)
-        new = sr + sr * (1.0 + e) * e / ((n + 1.0) * (u * u * sr / d + v * v))
-        rising = new > sr
-        rows, p, q, t = rows[rising], p[rising], q[rising], t[rising]
-        s[rows] = new[rising]
+    # the s = 0 rows divide by zero and step to NaN, which never rises
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_CAP):
+            d = s + t
+            u, v = p / d, q / s
+            e = v * v - (s + (t - p)) * (d + p) / (d * d)  # |w|^2 - 1, free of cancellation
+            n = np.sqrt(1.0 + e)
+            new = s + s * (1.0 + e) * e / ((n + 1.0) * (u * u * s / d + v * v))
+            rising = new > s
+            if not rising.any():
+                break
+            np.copyto(s, new, where=rising)
     return s
 
 

@@ -167,12 +167,14 @@ class TestRootGate:
 
 
 class TestMinimizeSingle:
+    """minimize_batch on one row at a time: hand-picked rows, tiny rows,
+    stationarity, a dense grid and the range of theta."""
+
     def test_positive_real_b(self):
         assert theta_of(0, 2)[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_negative_real_b_needs_pi_candidate(self):
-        # theta = pi, the minimizer here, is the one angle the half-angle
-        # substitution cannot reach; the anchor rotation brings it into range
+    def test_negative_real_b_points_to_pi(self):
+        # with a = 0 the minimizer points along conj(b), here z = -1 and theta = pi
         theta = theta_of(0, -2)[0]
         assert theta == pytest.approx(np.pi, abs=1e-12)
         assert objective(0, -2, theta) < objective(0, -2, 0.0)
@@ -496,6 +498,23 @@ class TestSecularKernel:
         monkeypatch.setattr(quartic, "_NEWTON_CAP", 10_000)
         assert np.array_equal(theta_of(a, b), theta)
 
+    def test_solver_rows_stop_within_four_steps(self, monkeypatch):
+        # every solver batch stops rising within 4 Newton passes, the bound the
+        # _NEWTON_CAP comment gives, so a cap of 4 changes no bit; one pass is short
+        batches = []
+        for n, steps in [(100, 5), (1000, 5), (16384, 2)]:
+            for seed in range(3):
+                x = init_random(n, seed)
+                for _ in range(steps):
+                    batches.append(ab_all_fast(x))
+                    x = unipol_step(x)
+        z = [minimize_batch(a, b) for a, b in batches]
+        monkeypatch.setattr(quartic, "_NEWTON_CAP", 1)
+        assert not all(np.array_equal(minimize_batch(a, b), zi) for (a, b), zi in zip(batches, z))
+        monkeypatch.setattr(quartic, "_NEWTON_CAP", 4)
+        for (a, b), zi in zip(batches, z):
+            assert np.array_equal(minimize_batch(a, b), zi)
+
     def test_extreme_scales_change_no_bit(self):
         # a power-of-two scale is undone exactly, so rows at 5e-324 and near 1e300
         # give their unit-size twins' theta, with no warning (filterwarnings = error)
@@ -512,18 +531,26 @@ class TestSecularKernel:
         assert theta_of(1.0, -4.0 + 1e-320j)[0] == np.pi
 
     def test_slow_rows_leave_fast_rows_bitwise_alone(self):
-        # each row stops on its own, so fast rows solved beside slow triple rows
-        # keep the bits they have alone and as single rows
+        # a batch makes as many Newton passes as its slowest row needs, and a row
+        # that stops rising is frozen in place; the s = 0 rows (exact hard-case
+        # ties, constant rows, a subnormal start) go NaN inside every pass and are
+        # never written. So fast rows solved beside slow triple rows, and s = 0 rows
+        # beside both, keep the bits they have alone and as single rows
         rng = np.random.default_rng(71)
         a = rng.normal(size=300) + 1j * rng.normal(size=300)
         b = rng.normal(size=300) + 1j * rng.normal(size=300)
         slow_a, slow_b = triple_rows(rng, 300)
-        order = rng.permutation(600)
-        mixed = theta_of(np.concatenate([a, slow_a])[order], np.concatenate([b, slow_b])[order])
-        fast = np.empty(600)
-        fast[order] = mixed
-        assert np.array_equal(fast[:300], theta_of(a, b))
-        assert np.array_equal(fast[:50], [theta_of(ai, bi)[0] for ai, bi in zip(a[:50], b[:50])])
+        tie_a, tie_b = adversarial_rows("hard_case_ties", rng)
+        zero_a = np.concatenate([tie_a, np.zeros(3), [1.0]])
+        zero_b = np.concatenate([tie_b, np.zeros(3), [-4.0 + 1e-320j]])
+        m = 600 + zero_a.size
+        order = rng.permutation(m)
+        mixed = theta_of(np.concatenate([a, slow_a, zero_a])[order], np.concatenate([b, slow_b, zero_b])[order])
+        theta = np.empty(m)
+        theta[order] = mixed
+        assert np.array_equal(theta[:300], theta_of(a, b))
+        assert np.array_equal(theta[:50], [theta_of(ai, bi)[0] for ai, bi in zip(a[:50], b[:50])])
+        assert np.array_equal(theta[600:], [theta_of(ai, bi)[0] for ai, bi in zip(zero_a, zero_b)])
 
     def test_traced_peak_holds_no_per_candidate_tables(self):
         # a few dozen row-length temporaries (29x the output here); one more
@@ -586,6 +613,7 @@ def adversarial_rows(name, rng):
      "degree_one", "near_triple", "hard_case_ties", "constant", "subnormal", "huge", "lopsided"],
 )
 def test_minimize_unit_returns_unit_values(name):
+    """minimize_batch returns unit values on every adversarial row set."""
     z = minimize_batch(*adversarial_rows(name, np.random.default_rng(90)))
     assert np.all(np.abs(np.abs(z) - 1.0) <= 1e-12), float(np.max(np.abs(np.abs(z) - 1.0)))
     if name == "constant":
