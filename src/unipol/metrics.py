@@ -11,22 +11,19 @@ with X_p the zero-padded 2N-point transform of x, for unimodular x. (The
 and grid orthogonality, which yields 2N * sum_{k != 0} |r_k|^2 = 4N * ISL
 for the one-sided ISL used throughout.)
 
-A UnimodularSequence computes its spectrum once, on the first spectrum_2n
-call, and keeps it; every later call, and every metric built on it (isl_freq,
-which is the ISL a run records, and isl_quartic), reads that copy. It is
-returned read-only, and since the values are frozen it never goes stale. Two
-threads that fill it at once compute and store identical bits, so sharing a
-sequence across threads stays safe. An array argument gets a fresh, writable
-spectrum each call. The lag-domain metrics (isl_time, psl, merit_factor,
-sidelobe_db) each compute their own autocorrelation: for N > 64 that is one
-inverse FFT of the kept spectrum.
+A UnimodularSequence is built with its spectrum: spectrum_2n, and every
+metric built on it (isl_freq, which is the ISL a run records, and
+isl_quartic), reads that one read-only copy, which the frozen values keep
+current. An array argument gets a fresh, writable spectrum each call. The
+lag-domain metrics (isl_time, psl, merit_factor, sidelobe_db) each compute
+their own autocorrelation: for N > 64 that is one inverse FFT of the kept
+spectrum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -60,14 +57,12 @@ class UnimodularSequence:
     """A length-N complex sequence with every element on the unit circle.
 
     Values (anything as_values accepts) are copied and frozen at
-    construction; instances are immutable and safe to share across threads.
-    The 2N-point spectrum is filled in on the first spectrum_2n call and
-    kept: the frozen values keep it current, and two threads that fill it at
-    once write identical bits.
+    construction, and their read-only 2N-point spectrum is computed with
+    them; instances are immutable and safe to share across threads.
     """
 
     values: np.ndarray
-    _spectrum: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(as_values(self.values))
@@ -76,6 +71,9 @@ class UnimodularSequence:
             raise ValueError(f"element modulus deviates from 1 by {dev:.3e}")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        spec = spectrum_2n(arr)
+        spec.flags.writeable = False
+        object.__setattr__(self, "_spectrum", spec)
 
     @classmethod
     def from_phases(cls, phases) -> "UnimodularSequence":
@@ -196,17 +194,13 @@ def spectrum_2n(x) -> np.ndarray:
     The grid is omega_p = 2*pi*p / (2N). Sequence indexing is 0-based; a
     1-based convention would only rotate each bin by a unit-modulus factor,
     leaving |X_p| and every ISL-type sum unchanged. A UnimodularSequence
-    computes it once and returns that read-only array on every call; any
-    other input gets a fresh, writable transform.
+    returns the read-only array it was built with; any other input gets a
+    fresh, writable transform.
     """
-    if isinstance(x, UnimodularSequence) and x._spectrum is not None:
+    if isinstance(x, UnimodularSequence):
         return x._spectrum
     v = as_values(x)
-    spec = np.fft.fft(v, 2 * v.size)
-    if isinstance(x, UnimodularSequence):
-        spec.flags.writeable = False
-        object.__setattr__(x, "_spectrum", spec)  # frozen instance; same bits from any thread
-    return spec
+    return np.fft.fft(v, 2 * v.size)
 
 
 def sidelobe_db(x) -> np.ndarray:

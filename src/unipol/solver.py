@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from unipol.metrics import UnimodularSequence, as_values, isl_freq, spectrum_2n, unit_of
+from unipol.metrics import UnimodularSequence, as_values, isl_freq, unit_of
 from unipol.metrics import isl_time  # noqa: F401  perfbench/spans.py patches solver.isl_time
 from unipol.quartic import minimize_batch
 from unipol.surrogate import ab_all_fast
@@ -90,12 +90,11 @@ class RunTrace:
 
     isl_per_iteration[0] is the ISL of the initial sequence, so its length is
     iterations_run + 1: one entry per map evaluation, each isl_freq of its
-    iterate (Parseval on its kept spectrum; isl_time agrees to rounding).
+    iterate (Parseval on its spectrum; isl_time agrees to rounding).
     wall_time_per_iteration holds the duration of each evaluation (ISL
-    bookkeeping excluded), of the new iterate's 2N-point spectrum (which the
-    next evaluation and the bookkeeping read), and of any SQUAREM
-    extrapolation and its ISL checks made just before it; cumulative_seconds
-    pairs 1:1 with isl_per_iteration via a leading 0.0.
+    bookkeeping excluded) and of any SQUAREM extrapolation and its ISL checks
+    made just before it; cumulative_seconds pairs 1:1 with isl_per_iteration
+    via a leading 0.0.
     """
 
     isl_per_iteration: np.ndarray
@@ -142,7 +141,7 @@ def _squarem(x0, x1, x2, isl2: float) -> UnimodularSequence:
     from alpha = min(-|r|/|v|, -1), halving alpha + 1 while the projected
     point's ISL exceeds isl2 = ISL(x2), and returns x2 itself (the point at
     alpha = -1) after _SQUAREM_TRIES rejections. Each check is isl_freq, on
-    the spectrum that an accepted point then hands to the next step. The
+    the spectrum the next step reads if the point is accepted. The
     projection is metrics.unit_of: an element with |z| below the smallest
     normal double, z = 0 included, goes to 1.
     """
@@ -171,10 +170,8 @@ def _run_loop(
     Every call of step counts against max_iterations and records one ISL.
     Under accel="squarem", each third call starts from the _squarem point of
     the three iterates before it, whenever the budget has room for that call.
-    Each new iterate's spectrum is taken inside the timed evaluation, so the
-    step that reads it next and the ISL bookkeeping in between transform
-    nothing forward. The bookkeeping is isl_freq on that spectrum, the same
-    route as SQUAREM's checks, so it makes no inverse transform either.
+    The bookkeeping is isl_freq on each iterate's spectrum, the same route as
+    SQUAREM's checks, so it transforms nothing.
     """
     x = init_random(cfg.n, cfg.seed, cfg.phase_range) if init is None else UnimodularSequence(init)
     if len(x) != cfg.n:
@@ -189,7 +186,6 @@ def _run_loop(
         if len(cycle) == 3:
             x, cycle = _squarem(*cycle, isl[-1]), []
         x = step(x)
-        spectrum_2n(x)
         durations.append(time.perf_counter() - t0)
         isl.append(isl_freq(x))
         if cfg.accel == "squarem":

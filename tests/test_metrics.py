@@ -6,6 +6,8 @@ import threading
 import numpy as np
 import pytest
 
+from unipol.baselines import _can_step, generate
+from unipol.io import read_sequence_file, write_sequence_file
 from unipol.metrics import (
     UnimodularSequence,
     as_values,
@@ -20,6 +22,8 @@ from unipol.metrics import (
     spectrum_2n,
     unit_of,
 )
+from unipol.solver import init_random, unipol_step
+from unipol.surrogate import ab_all_fast
 
 BARKER_13 = [1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1, 1]
 
@@ -327,6 +331,56 @@ class TestSpectrumCache:
                 assert spectrum_2n(seq) is spectrum_2n(seq)
         finally:
             sys.setswitchinterval(interval)
+
+
+def _sequence_file(tmp_path):
+    path = tmp_path / "x.seq.csv"
+    write_sequence_file(path, random_unimodular(100, np.random.default_rng(71)))
+    return lambda: read_sequence_file(path)
+
+
+def _from_sequence(make):
+    def prepare(tmp_path):
+        seq = UnimodularSequence(random_unimodular(100, np.random.default_rng(72)))
+        return lambda: make(seq)
+
+    return prepare
+
+
+# Each entry prepares its inputs (transforms allowed) and returns the call that builds one sequence.
+CONSTRUCTIONS = {
+    "values": lambda tmp_path: lambda: UnimodularSequence(random_unimodular(100, np.random.default_rng(70))),
+    "from_phases": lambda tmp_path: lambda: UnimodularSequence.from_phases(np.linspace(0.0, 6.0, 100)),
+    "init_random": lambda tmp_path: lambda: init_random(100, 3),
+    "generate": lambda tmp_path: lambda: generate("golomb", 100),
+    "read_sequence_file": _sequence_file,
+    "rewrap": _from_sequence(UnimodularSequence),
+    "unipol_step": _from_sequence(unipol_step),
+    "can_step": _from_sequence(_can_step),
+}
+
+
+class TestSpectrumAtConstruction:
+    """Every sequence is built with its spectrum: building it makes the one forward
+    transform, and every later reader of the spectrum makes none."""
+
+    @pytest.mark.parametrize("prepare", CONSTRUCTIONS.values(), ids=CONSTRUCTIONS.keys())
+    def test_one_forward_transform_at_construction(self, monkeypatch, tmp_path, prepare):
+        build = prepare(tmp_path)
+        calls = []
+        transform = np.fft.fft
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        seq = build()
+        assert len(calls) == 1
+        for read in (spectrum_2n, isl_freq, ab_all_fast, autocorrelation):  # N > 64: autocorrelation reads it
+            read(seq)
+        assert len(calls) == 1
+        assert spectrum_2n(seq).tobytes() == transform(seq.values, 2 * len(seq)).tobytes()
 
 
 class TestInvariants:

@@ -166,7 +166,7 @@ class TestRootGate:
         assert np.all(miss <= 1e-6), float(np.max(miss))
 
 
-class TestMinimizeSingle:
+class TestSingleRows:
     """minimize_batch on one row at a time: hand-picked rows, tiny rows,
     stationarity, a dense grid and the range of theta."""
 
