@@ -1,16 +1,13 @@
 """Benchmark harness: seeded trial matrices over (algorithm, length) and CSV output.
 
-Each (algo, N) cell runs `runs` trials seeded base_seed + trial index. Rows
-come out in a deterministic (algo, N, seed) order regardless of execution
-order; only the timing columns vary between repeat invocations. The
-UNIPOL_THREADS environment variable caps trial concurrency (0 or unset =
-auto, 1 = sequential); a value that is not an integer >= 0 is an error.
+Each (algo, N) cell runs `runs` trials seeded base_seed + trial index. Trials
+run one after another on the calling thread, in (algo, N, seed) order, which
+is also the row order; only the timing columns vary between repeat
+invocations, and each row's time is that trial's own.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -48,20 +45,6 @@ class BenchRow:
         )
 
 
-def worker_count(n_tasks: int) -> int:
-    """Concurrency cap from UNIPOL_THREADS, an integer >= 0; 0/unset means auto (cpu count)."""
-    raw = os.environ.get("UNIPOL_THREADS", "0")
-    try:
-        configured = int(raw)
-    except ValueError:
-        configured = -1
-    if configured < 0:
-        raise ValueError(f"UNIPOL_THREADS must be a nonnegative integer, got {raw!r}")
-    if configured == 0:
-        configured = os.cpu_count() or 1
-    return max(1, min(configured, n_tasks))
-
-
 def _one_trial(algo: str, cfg: SolverConfig) -> BenchRow:
     trace = _RUNNERS[algo](cfg)
     return BenchRow(
@@ -82,7 +65,7 @@ def run_bench(
     base_seed: int = 0,
     tol: float = 0.0,
 ) -> list[BenchRow]:
-    """Run the full (algo, N, trial) matrix and return rows in deterministic order.
+    """Run the full (algo, N, trial) matrix in order and return one row per trial.
 
     An empty or unknown algorithm list, an empty length list, a length that
     is not an integer >= 2, runs that is not an integer >= 1, or an iters, tol
@@ -106,9 +89,7 @@ def run_bench(
         for n in lengths
         for trial in range(runs)
     ]
-    with ThreadPoolExecutor(max_workers=worker_count(len(tasks))) as pool:
-        futures = [pool.submit(_one_trial, algo, cfg) for algo, cfg in tasks]
-        return [f.result() for f in futures]
+    return [_one_trial(algo, cfg) for algo, cfg in tasks]
 
 
 def rows_to_csv(rows: Iterable[BenchRow]) -> str:

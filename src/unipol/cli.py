@@ -1,7 +1,7 @@
 """Command-line front end: design | metrics | generate | bench.
 
 Exit codes, set by ``main`` alone: 0 success, 1 runtime or I/O failure, 2
-usage error (any other ValueError). UNIPOL_THREADS caps bench trial concurrency.
+usage error (any other ValueError). Bench trials run one after another.
 """
 
 from __future__ import annotations

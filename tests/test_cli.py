@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -641,26 +642,37 @@ class TestBenchCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 3
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("UNIPOL_THREADS", "2")
-        out = tmp_path / "t.csv"
-        args = ["bench", "--algos", "unipol", "--lengths", "16", "--runs", "4",
-                "--iters", "5", "--seed", "0", "-o", str(out)]
-        assert main(args) == 0
-        threaded = [line.split(",")[:5] for line in out.read_text().strip().split("\n")]
-        monkeypatch.setenv("UNIPOL_THREADS", "1")
-        assert main(args) == 0
-        sequential = [line.split(",")[:5] for line in out.read_text().strip().split("\n")]
-        assert threaded == sequential
+    def test_trials_run_in_order_on_the_calling_thread(self, monkeypatch):
+        calls = []
 
-    @pytest.mark.parametrize("value", ["abc", "2.5", "", "-1"])
-    def test_malformed_thread_cap_env_usage_error(self, monkeypatch, capsys, value):
-        monkeypatch.setenv("UNIPOL_THREADS", value)
-        rc = main(["bench", "--algos", "can", "--lengths", "16", "--runs", "1", "--iters", "2"])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert "UNIPOL_THREADS" in captured.err
-        assert captured.out == ""
+        def recording(algo):
+            def runner(cfg):
+                calls.append((threading.get_ident(), algo, cfg.n, cfg.seed))
+                return can_run(cfg)
+            return runner
+
+        for algo in ("unipol", "can"):
+            monkeypatch.setitem(bench_mod._RUNNERS, algo, recording(algo))
+        rows = run_bench(["unipol", "can"], [8, 16], runs=3, iters=1, base_seed=5)
+        here = threading.get_ident()
+        expected = [(algo, n, seed) for algo in ("unipol", "can") for n in (8, 16)
+                    for seed in (5, 6, 7)]
+        assert calls == [(here, *key) for key in expected]
+        assert [(row.algo, row.n, row.seed) for row in rows] == expected
+
+    def test_a_failing_trial_ends_the_matrix(self, monkeypatch):
+        calls = []
+
+        def fail_second(cfg):
+            calls.append(cfg.seed)
+            if len(calls) == 2:
+                raise RuntimeError("trial failed")
+            return can_run(cfg)
+
+        monkeypatch.setitem(bench_mod._RUNNERS, "can", fail_second)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run_bench(["can"], [8], runs=6, iters=1)
+        assert calls == [0, 1]
 
 
 class TestOutputPathsCheckedFirst:

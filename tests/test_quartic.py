@@ -384,7 +384,7 @@ class TestSingleRootRouteAdversarial:
         self.assert_grid_optimal(a, b)
 
 
-class TestClosedFormAgainstEigOracle:
+class TestAgainstQuarticEigOracle:
     """minimize_batch against the quartic route it replaced, on the objective."""
 
     def assert_no_worse_than_eig(self, a, b):
@@ -585,7 +585,7 @@ def adversarial_rows(name, rng):
     exact hard-case ties, degenerate and triple-point rows, constant rows and
     rows at subnormal or extreme scale."""
     if name in ("generic", "triple", "perturbed_triple", "a_zero", "b_zero", "b_near_four_a"):
-        return TestClosedFormAgainstEigOracle.family(name, rng, m=5000)
+        return TestAgainstQuarticEigOracle.family(name, rng, m=5000)
     if name == "degree_two":
         return TestSingleRootRouteAdversarial.degree_two_rows(rng, 500)
     if name == "degree_one":
