@@ -52,6 +52,7 @@ __all__ = [
 
 _HEADER = "index,phase,re,im"
 _ROW = "%d,%.17g,%.17g,%.17g\n"  # renders as f"{i},{t:.17g},{math.cos(t):.17g},{math.sin(t):.17g}"
+_RE_IM_TOL = 1e-12  # how far a row's re/im may sit from the cos/sin of its phase
 
 # Rows per bulk step of a write or a read: a block's temporaries stay a small
 # fraction of the whole file's.
@@ -135,7 +136,7 @@ def _bulk_phases(block: list[str], first: int) -> Optional[np.ndarray]:
         return None
     # math.cos/math.sin, as _parse_row uses: numpy's may differ in the last bit
     expected = np.array([list(map(math.cos, theta)), list(map(math.sin, theta))])
-    if (np.abs(values[1:] - expected) > 1e-12).any():
+    if (np.abs(values[1:] - expected) > _RE_IM_TOL).any():
         return None
     return values[0]
 
@@ -170,7 +171,7 @@ def _parse_row(line: str, rownum: int) -> float:
     theta, re, im = values
     if idx != rownum - 2:
         raise SequenceFileError(f"row {rownum}, column 1: index {idx}, expected {rownum - 2}")
-    if abs(re - math.cos(theta)) > 1e-12 or abs(im - math.sin(theta)) > 1e-12:
+    if abs(re - math.cos(theta)) > _RE_IM_TOL or abs(im - math.sin(theta)) > _RE_IM_TOL:
         raise SequenceFileError(
             f"row {rownum}: re/im inconsistent with phase {theta!r}"
         )

@@ -52,17 +52,19 @@ _FFT_THRESHOLD = 64
 _TINY = np.finfo(float).tiny
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnimodularSequence:
     """A length-N complex sequence with every element on the unit circle.
 
     Values (anything as_values accepts) are copied and frozen at
     construction, and their read-only 2N-point spectrum is computed with
     them; instances are immutable and safe to share across threads.
+    Sequences compare and hash by identity, at every N; to compare two
+    designs, use np.array_equal(a.values, b.values).
     """
 
     values: np.ndarray
-    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(as_values(self.values))

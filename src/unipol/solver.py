@@ -84,7 +84,7 @@ class SolverConfig:
             object.__setattr__(self, name, value)  # frozen: store the plain int/float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunTrace:
     """Per-iteration record of one solver run.
 
@@ -94,7 +94,8 @@ class RunTrace:
     wall_time_per_iteration holds the duration of each evaluation (ISL
     bookkeeping excluded) and of any SQUAREM extrapolation and its ISL checks
     made just before it; cumulative_seconds pairs 1:1 with isl_per_iteration
-    via a leading 0.0.
+    via a leading 0.0. Traces compare and hash by identity; to compare two
+    runs' designs, use np.array_equal on their final_sequence.values.
     """
 
     isl_per_iteration: np.ndarray

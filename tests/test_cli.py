@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -445,7 +449,7 @@ class TestDesignCommand:
 class TestMetricsCommand:
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["table", "json"])
     def test_one_forward_transform_per_file(self, tmp_path, capsys, monkeypatch, flags):
-        # N = 100 takes the FFT route; every figure reads the file's one cached spectrum
+        # N = 100 takes the FFT route; every figure reads the spectrum the file's sequence is built with
         path = tmp_path / "chu.csv"
         write_sequence_file(path, generate("chu", 100))
         calls = []
@@ -800,3 +804,30 @@ class TestErrorBranches:
         with pytest.raises(ValueError):
             run_bench(["unipol"], [8], runs=2, **{"iters": 2, **kwargs})
         assert calls == []
+
+
+class TestModuleEntryPoint:
+    """python -m unipol runs cli.main in a fresh interpreter and exits with its code."""
+
+    @staticmethod
+    def module(tmp_path, *args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "unipol", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_generate_prints_the_table(self, tmp_path):
+        done = self.module(tmp_path, "generate", "--family", "barker", "-N", "13")
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "index,phase,re,im" and len(lines) == 14
+
+    def test_usage_error_exits_2(self, tmp_path):
+        done = self.module(tmp_path, "design", "-N", "0")
+        assert done.returncode == 2
+        assert "n must be >= 1" in done.stderr
+
+    def test_missing_file_exits_1(self, tmp_path):
+        done = self.module(tmp_path, "metrics", str(tmp_path / "missing.csv"))
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr

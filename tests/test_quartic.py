@@ -273,7 +273,7 @@ class TestMinimizeBatch:
         assert theta[1] == pytest.approx(np.pi / 2, abs=1e-12)
 
 
-class TestSingleRootRouteAdversarial:
+class TestDegenerateStationarityRows:
     """Rows whose stationarity polynomial loses its leading terms, or whose
     minimum is a multiple stationary point, checked on a dense theta grid.
     The secular route meets them as hard-case or near-hard-case rows."""
@@ -587,9 +587,9 @@ def adversarial_rows(name, rng):
     if name in ("generic", "triple", "perturbed_triple", "a_zero", "b_zero", "b_near_four_a"):
         return TestAgainstQuarticEigOracle.family(name, rng, m=5000)
     if name == "degree_two":
-        return TestSingleRootRouteAdversarial.degree_two_rows(rng, 500)
+        return TestDegenerateStationarityRows.degree_two_rows(rng, 500)
     if name == "degree_one":
-        return TestSingleRootRouteAdversarial.degree_one_rows(rng, 500)
+        return TestDegenerateStationarityRows.degree_one_rows(rng, 500)
     if name == "near_triple":
         return triple_rows(rng, 3000)
     size = 10.0 ** rng.uniform(-300, 0, size=300)

@@ -10,6 +10,8 @@ from unipol.quartic import minimize_batch
 from unipol.solver import SolverConfig, _run_loop, init_random, run, unipol_step
 from unipol.surrogate import ab_all_direct, surrogate_value
 
+from test_metrics import assert_identity_only
+
 
 def direct_step(x):
     """unipol_step with the O(N^2) ab_all_direct oracle in place of ab_all_fast, for N >= 2."""
@@ -200,10 +202,17 @@ class TestRun:
         assert np.array_equal(a.isl_per_iteration, b.isl_per_iteration)
         assert np.array_equal(a.final_sequence.values, b.final_sequence.values)
 
+    def test_traces_compare_and_hash_by_identity(self):
+        """Two runs of one config give equal arrays in distinct traces; neither raises."""
+        cfg = SolverConfig(n=8, max_iterations=3, seed=0)
+        a, b = run(cfg), run(cfg)
+        assert np.array_equal(a.isl_per_iteration, b.isl_per_iteration)
+        assert_identity_only(a, b)
+
     def test_rel_tolerance_stops_early(self):
         cfg = SolverConfig(n=50, max_iterations=1000, rel_tolerance=1e-12, seed=5)
         trace = run(cfg)
-        assert trace.iterations_run <= 1000
+        assert trace.iterations_run < 1000
         isl = trace.isl_per_iteration
         assert np.all(isl[1:] <= isl[:-1] * (1 + 1e-9) + 1e-9)
 
