@@ -63,13 +63,13 @@ def run_bench(
     runs: int,
     iters: int,
     base_seed: int = 0,
-    tol: float = 0.0,
 ) -> list[BenchRow]:
     """Run the full (algo, N, trial) matrix in order and return one row per trial.
 
     An empty or unknown algorithm list, an empty length list, a length that
-    is not an integer >= 2, runs that is not an integer >= 1, or an iters, tol
-    or seed that SolverConfig rejects raises ValueError before any trial runs.
+    is not an integer >= 2, runs that is not an integer >= 1, or an iters or
+    seed that SolverConfig rejects raises ValueError before any trial runs.
+    Every trial runs the fixed iters budget: no tolerance rule stops it early.
     """
     if not algos:
         raise ValueError("empty algorithm list")
@@ -84,7 +84,7 @@ def run_bench(
     base_seed = _check_int("seed", base_seed, 0)  # a numpy uint8 would wrap in base_seed + trial
 
     tasks = [
-        (algo, SolverConfig(n=n, max_iterations=iters, rel_tolerance=tol, seed=base_seed + trial))
+        (algo, SolverConfig(n=n, max_iterations=iters, seed=base_seed + trial))
         for algo in algos
         for n in lengths
         for trial in range(runs)

@@ -18,7 +18,7 @@ from unipol import bench as bench_mod
 from unipol import io as io_mod
 from unipol.baselines import FAMILIES, can_run, generate
 from unipol.metrics import autocorrelation, isl_time, merit_factor, psl, sidelobe_db
-from unipol.solver import ACCELS, PHASE_RANGES, SolverConfig, run
+from unipol.solver import ACCELS, SolverConfig, run
 
 __all__ = ["main"]
 
@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     design.add_argument("--iters", type=int, default=1000)
     design.add_argument("--tol", type=float, default=0.0)
     design.add_argument("--seed", type=int, default=0)
-    design.add_argument("--phase-range", choices=PHASE_RANGES, default="full")
     design.add_argument(
         "--accel",
         choices=ACCELS,
@@ -103,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--runs", type=int, default=30)
     bench.add_argument("--iters", type=int, default=1000)
-    bench.add_argument("--tol", type=float, default=0.0)
     bench.add_argument("--seed", type=int, default=0, help="base seed; trial i uses seed+i")
     bench.add_argument("-o", "--output", help="CSV path (default: stdout)")
     bench.set_defaults(func=cmd_bench)
@@ -117,7 +115,6 @@ def cmd_design(args) -> int:
         max_iterations=args.iters,
         rel_tolerance=args.tol,
         seed=args.seed,
-        phase_range=args.phase_range,
         accel=args.accel,
     )
     seq_path = args.seq_out
@@ -193,7 +190,6 @@ def cmd_bench(args) -> int:
         runs=args.runs,
         iters=args.iters,
         base_seed=args.seed,
-        tol=args.tol,
     )
     csv_text = bench_mod.rows_to_csv(rows)
     if args.output is not None:

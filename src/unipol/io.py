@@ -15,9 +15,9 @@ are byte-stable: each row renders exactly as
 per row: a malformed file is rejected with the row number (and column, where
 there is one) of its first bad row, checked in the order of ``_parse_row``.
 
-A run record is a JSON document with keys {algorithm, N, seed, phaseRange,
-maxIterations, relTolerance, accel, islTrace, timeTraceSeconds, finalPhases,
-finalIsl, finalPsl, meritFactor}. accel is the outer scheme the run used,
+A run record is a JSON document with keys {algorithm, N, seed, maxIterations,
+relTolerance, accel, islTrace, timeTraceSeconds, finalPhases, finalIsl,
+finalPsl, meritFactor}. accel is the outer scheme the run used,
 "squarem" or "none" (always "none" for CAN). timeTraceSeconds is the
 cumulative wall time with a leading 0.0, pairing 1:1 with islTrace.
 finalIsl is the last islTrace entry, the Parseval value (isl_freq); ``unipol
@@ -186,7 +186,6 @@ def run_record_dict(algorithm: str, trace: RunTrace) -> dict:
         "algorithm": algorithm,
         "N": cfg.n,
         "seed": cfg.seed,
-        "phaseRange": cfg.phase_range,
         "maxIterations": cfg.max_iterations,
         "relTolerance": cfg.rel_tolerance,
         "accel": cfg.accel,

@@ -83,10 +83,6 @@ class UnimodularSequence:
         return cls(np.exp(1j * np.asarray(phases, dtype=float)))
 
     @property
-    def n(self) -> int:
-        return self.values.size
-
-    @property
     def phases(self) -> np.ndarray:
         """Element phases wrapped to [0, 2*pi)."""
         return phase_of(self.values)

@@ -25,7 +25,6 @@ from unipol.surrogate import ab_all_fast
 
 __all__ = ["SolverConfig", "RunTrace", "init_random", "unipol_step", "run"]
 
-PHASE_RANGES = ("full", "unit")
 ACCELS = ("squarem", "none")
 
 # Step-length tries per SQUAREM cycle before it falls back to the plain iterate x2.
@@ -56,18 +55,17 @@ class SolverConfig:
     Numpy scalars are accepted and stored as plain int and float.
     rel_tolerance = 0 (the default) runs the fixed max_iterations budget;
     a positive value stops after 3 consecutive iterations whose relative ISL
-    decrease falls below it. phase_range picks the initial phase law:
-    "full" draws from [0, 2*pi), "unit" from [0, 1] radians.
-    accel picks the outer scheme: "squarem" (the default) adds a squared
-    extrapolation after every two MM steps, "none" runs the paper's plain MM.
-    For either, any other value, a non-string included, raises ValueError.
+    decrease falls below it. Without an init, the run starts from
+    init_random(n, seed). accel picks the outer scheme: "squarem" (the
+    default) adds a squared extrapolation after every two MM steps, "none"
+    runs the paper's plain MM; any other value, a non-string included,
+    raises ValueError.
     """
 
     n: int
     max_iterations: int = 1000
     rel_tolerance: float = 0.0
     seed: int = 0
-    phase_range: str = "full"
     accel: str = "squarem"
 
     def __post_init__(self):
@@ -78,7 +76,6 @@ class SolverConfig:
         tol = self.rel_tolerance
         if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
             raise ValueError("rel_tolerance must be finite and >= 0")
-        _check_choice("phase_range", self.phase_range, PHASE_RANGES)
         _check_choice("accel", self.accel, ACCELS)
         for name, value in {**plain, "rel_tolerance": float(tol)}.items():
             object.__setattr__(self, name, value)  # frozen: store the plain int/float
@@ -112,13 +109,11 @@ class RunTrace:
         return np.concatenate(([0.0], np.cumsum(self.wall_time_per_iteration)))
 
 
-def init_random(n: int, seed: int, phase_range: str = "full") -> UnimodularSequence:
-    """Seeded random unimodular sequence for integers n >= 1, seed >= 0; reproducible."""
+def init_random(n: int, seed: int) -> UnimodularSequence:
+    """Seeded sequence with phases uniform on [0, 2*pi), for integers n >= 1, seed >= 0."""
     n = _check_int("n", n, 1)
     _check_int("seed", seed, 0)
-    _check_choice("phase_range", phase_range, PHASE_RANGES)
-    width = 2.0 * np.pi if phase_range == "full" else 1.0
-    theta = width * np.random.default_rng(seed).random(n)
+    theta = 2.0 * np.pi * np.random.default_rng(seed).random(n)
     return UnimodularSequence.from_phases(theta)
 
 
@@ -174,7 +169,7 @@ def _run_loop(
     The bookkeeping is isl_freq on each iterate's spectrum, the same route as
     SQUAREM's checks, so it transforms nothing.
     """
-    x = init_random(cfg.n, cfg.seed, cfg.phase_range) if init is None else UnimodularSequence(init)
+    x = init_random(cfg.n, cfg.seed) if init is None else UnimodularSequence(init)
     if len(x) != cfg.n:
         raise ValueError(f"init has length {len(x)}, config says {cfg.n}")
 

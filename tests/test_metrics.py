@@ -51,7 +51,6 @@ def assert_identity_only(a, b):
 class TestUnimodularSequence:
     def test_accepts_unit_modulus(self):
         seq = UnimodularSequence(np.exp(1j * np.array([0.1, 2.0, 4.0])))
-        assert seq.n == 3
         assert len(seq) == 3
 
     def test_rejects_off_circle(self):

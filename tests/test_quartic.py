@@ -612,7 +612,7 @@ def adversarial_rows(name, rng):
     ["generic", "triple", "perturbed_triple", "a_zero", "b_zero", "b_near_four_a", "degree_two",
      "degree_one", "near_triple", "hard_case_ties", "constant", "subnormal", "huge", "lopsided"],
 )
-def test_minimize_unit_returns_unit_values(name):
+def test_minimize_batch_returns_unit_values(name):
     """minimize_batch returns unit values on every adversarial row set."""
     z = minimize_batch(*adversarial_rows(name, np.random.default_rng(90)))
     assert np.all(np.abs(np.abs(z) - 1.0) <= 1e-12), float(np.max(np.abs(np.abs(z) - 1.0)))

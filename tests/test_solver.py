@@ -23,7 +23,6 @@ class TestSolverConfig:
         cfg = SolverConfig(n=10)
         assert cfg.max_iterations == 1000
         assert cfg.rel_tolerance == 0.0
-        assert cfg.phase_range == "full"
         assert cfg.accel == "squarem"
 
     @pytest.mark.parametrize("accel", ["squarem", "none"])
@@ -36,7 +35,6 @@ class TestSolverConfig:
             dict(n=0),
             dict(n=5, max_iterations=0),
             dict(n=5, rel_tolerance=-1e-3),
-            dict(n=5, phase_range="narrow"),
             dict(n=5, seed=-1),
             dict(n=5, rel_tolerance=float("nan")),
             dict(n=5, rel_tolerance=float("inf")),
@@ -57,7 +55,6 @@ class TestSolverConfig:
             dict(n=5, accel=True),
             dict(n=5, accel=("squarem",)),
             dict(n=5, accel=np.str_("bogus")),
-            dict(n=5, phase_range=np.array("unit")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -88,14 +85,15 @@ class TestInitRandom:
         x = init_random(200, 3)
         assert np.max(np.abs(np.abs(x.values) - 1.0)) < 1e-15
 
-    def test_unit_range_phases(self):
-        x = init_random(500, 11, phase_range="unit")
-        assert np.all(x.phases >= 0.0)
-        assert np.all(x.phases <= 1.0)
-
     def test_full_range_phases_spread(self):
-        x = init_random(500, 11, phase_range="full")
-        assert x.phases.max() > 5.0  # would be < 1 under the unit law
+        x = init_random(500, 11)
+        assert x.phases.max() > 5.0  # spans the circle, not a sub-arc
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (2, 5), (13, 3), (1000, 42)])
+    def test_law_is_uniform_full_circle(self, n, seed):
+        theta = 2.0 * np.pi * np.random.default_rng(seed).random(n)
+        expected = UnimodularSequence.from_phases(theta)
+        assert np.array_equal(init_random(n, seed).values, expected.values)
 
     def test_seed_changes_output(self):
         assert not np.array_equal(init_random(8, 1).values, init_random(8, 2).values)
@@ -120,15 +118,6 @@ class TestInitRandom:
 
     def test_numpy_integer_seed(self):
         assert np.array_equal(init_random(5, np.int64(4)).values, init_random(5, 4).values)
-
-    def test_rejects_unknown_phase_range(self):
-        with pytest.raises(ValueError, match="phase_range must be one of"):
-            init_random(5, 0, "narrow")
-
-    def test_rejects_non_string_phase_range(self):
-        # np.array("full") == "full" is truthy, so only the type check stops it
-        with pytest.raises(ValueError, match="phase_range must be one of"):
-            init_random(4, 0, np.array("full"))
 
 
 class TestUnipolStep:
@@ -194,6 +183,13 @@ class TestRun:
         assert np.all(isl[1:] <= isl[:-1] * (1 + 1e-9) + 1e-9)
         assert trace.cumulative_seconds.shape == (51,)
         assert trace.cumulative_seconds[0] == 0.0
+
+    def test_plain_mm_descends_at_large_n(self):
+        """Criterion 3's descent inequality, far above the N <= 225 it samples."""
+        trace = run(SolverConfig(n=65536, max_iterations=6, seed=0, accel="none"))
+        isl = trace.isl_per_iteration
+        assert trace.iterations_run == 6
+        assert np.all(isl[1:] <= isl[:-1] * (1 + 1e-9) + 1e-9), isl
 
     def test_deterministic_repeat(self):
         cfg = SolverConfig(n=60, max_iterations=20, seed=123)
