@@ -69,7 +69,6 @@ def run_bench(
     An empty or unknown algorithm list, an empty length list, a length that
     is not an integer >= 2, runs that is not an integer >= 1, or an iters or
     seed that SolverConfig rejects raises ValueError before any trial runs.
-    Every trial runs the fixed iters budget: no tolerance rule stops it early.
     """
     if not algos:
         raise ValueError("empty algorithm list")

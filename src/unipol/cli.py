@@ -66,8 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
     design = sub.add_parser("design", help="run a sidelobe-minimization solver")
     design.add_argument("--algo", choices=("unipol", "can"), default="unipol")
     design.add_argument("-N", "--length", dest="n", type=int, required=True)
-    design.add_argument("--iters", type=int, default=1000)
-    design.add_argument("--tol", type=float, default=0.0)
+    design.add_argument(
+        "--iters",
+        type=int,
+        default=1000,
+        help="map evaluations; every run makes exactly this many",
+    )
     design.add_argument("--seed", type=int, default=0)
     design.add_argument(
         "--accel",
@@ -113,7 +117,6 @@ def cmd_design(args) -> int:
     cfg = SolverConfig(
         n=args.n,
         max_iterations=args.iters,
-        rel_tolerance=args.tol,
         seed=args.seed,
         accel=args.accel,
     )

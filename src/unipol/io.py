@@ -16,8 +16,8 @@ per row: a malformed file is rejected with the row number (and column, where
 there is one) of its first bad row, checked in the order of ``_parse_row``.
 
 A run record is a JSON document with keys {algorithm, N, seed, maxIterations,
-relTolerance, accel, islTrace, timeTraceSeconds, finalPhases, finalIsl,
-finalPsl, meritFactor}. accel is the outer scheme the run used,
+accel, islTrace, timeTraceSeconds, finalPhases, finalIsl, finalPsl,
+meritFactor}. accel is the outer scheme the run used,
 "squarem" or "none" (always "none" for CAN). timeTraceSeconds is the
 cumulative wall time with a leading 0.0, pairing 1:1 with islTrace.
 finalIsl is the last islTrace entry, the Parseval value (isl_freq); ``unipol
@@ -79,9 +79,10 @@ def sequence_file_text(seq: Union[UnimodularSequence, np.ndarray]) -> str:
 
 
 def write_sequence_file(path, seq: Union[UnimodularSequence, np.ndarray]) -> None:
-    """Write one sequence as a CSV phase table."""
+    """Write one sequence as a CSV phase table; a render error leaves path untouched."""
+    text = sequence_file_text(seq)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(sequence_file_text(seq))
+        fh.write(text)
 
 
 def read_sequence_file(path) -> UnimodularSequence:
@@ -187,7 +188,6 @@ def run_record_dict(algorithm: str, trace: RunTrace) -> dict:
         "N": cfg.n,
         "seed": cfg.seed,
         "maxIterations": cfg.max_iterations,
-        "relTolerance": cfg.rel_tolerance,
         "accel": cfg.accel,
         "islTrace": trace.isl_per_iteration.tolist(),
         "timeTraceSeconds": trace.cumulative_seconds.tolist(),
@@ -204,8 +204,10 @@ def run_record_text(record: dict) -> str:
 
 
 def write_run_record(path, record: dict) -> None:
+    """Write a run record as JSON; a render error leaves path untouched."""
+    text = run_record_text(record)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(run_record_text(record))
+        fh.write(text)
 
 
 def read_run_record(path) -> dict:

@@ -50,35 +50,25 @@ def _check_choice(name: str, value, choices: tuple) -> None:
 class SolverConfig:
     """Run parameters shared by the MM driver and the baselines.
 
-    n and max_iterations are integers >= 1, seed an integer >= 0 and
-    rel_tolerance a finite non-bool real >= 0; other values raise ValueError.
-    Numpy scalars are accepted and stored as plain int and float.
-    rel_tolerance = 0 (the default) runs the fixed max_iterations budget;
-    a positive value stops after 3 consecutive iterations whose relative ISL
-    decrease falls below it. Without an init, the run starts from
-    init_random(n, seed). accel picks the outer scheme: "squarem" (the
-    default) adds a squared extrapolation after every two MM steps, "none"
-    runs the paper's plain MM; any other value, a non-string included,
-    raises ValueError.
+    n and max_iterations are integers >= 1 and seed an integer >= 0; other
+    values raise ValueError. Numpy integers are accepted and stored as plain
+    int. Every run makes exactly max_iterations map evaluations. Without an
+    init, the run starts from init_random(n, seed). accel picks the outer
+    scheme: "squarem" (the default) adds a squared extrapolation after every
+    two MM steps, "none" runs the paper's plain MM; any other value, a
+    non-string included, raises ValueError.
     """
 
     n: int
     max_iterations: int = 1000
-    rel_tolerance: float = 0.0
     seed: int = 0
     accel: str = "squarem"
 
     def __post_init__(self):
-        plain = {
-            name: _check_int(name, getattr(self, name), least)
-            for name, least in (("n", 1), ("max_iterations", 1), ("seed", 0))
-        }
-        tol = self.rel_tolerance
-        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
-            raise ValueError("rel_tolerance must be finite and >= 0")
+        for name, least in (("n", 1), ("max_iterations", 1), ("seed", 0)):
+            value = _check_int(name, getattr(self, name), least)
+            object.__setattr__(self, name, value)  # frozen: store the plain int
         _check_choice("accel", self.accel, ACCELS)
-        for name, value in {**plain, "rel_tolerance": float(tol)}.items():
-            object.__setattr__(self, name, value)  # frozen: store the plain int/float
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,9 +151,9 @@ def _run_loop(
     cfg: SolverConfig,
     init: Optional[UnimodularSequence],
 ) -> RunTrace:
-    """Shared iteration/trace/stopping loop for the MM driver and baselines.
+    """Shared iteration/trace loop for the MM driver and baselines.
 
-    Every call of step counts against max_iterations and records one ISL.
+    Every run makes exactly max_iterations calls of step, each recording one ISL.
     Under accel="squarem", each third call starts from the _squarem point of
     the three iterates before it, whenever the budget has room for that call.
     The bookkeeping is isl_freq on each iterate's spectrum, the same route as
@@ -176,7 +166,6 @@ def _run_loop(
     isl = [isl_freq(x)]
     durations = []
     cycle = [x]  # the iterates x0, x1, x2 since the last extrapolation
-    slow_streak = 0
     for _ in range(cfg.max_iterations):
         t0 = time.perf_counter()
         if len(cycle) == 3:
@@ -186,12 +175,6 @@ def _run_loop(
         isl.append(isl_freq(x))
         if cfg.accel == "squarem":
             cycle.append(x)
-        if cfg.rel_tolerance > 0.0:
-            prev, cur = isl[-2], isl[-1]
-            decrease = (prev - cur) / prev if prev > 0.0 else 0.0
-            slow_streak = slow_streak + 1 if decrease < cfg.rel_tolerance else 0
-            if slow_streak >= 3:
-                break
 
     return RunTrace(
         isl_per_iteration=np.asarray(isl),
@@ -202,7 +185,7 @@ def _run_loop(
 
 
 def run(cfg: SolverConfig, init: Optional[UnimodularSequence] = None) -> RunTrace:
-    """Run the MM driver until the iteration budget or the tolerance rule stops it.
+    """Run the MM driver for exactly cfg.max_iterations map evaluations.
 
     cfg.accel="squarem" (the default) wraps the MM map in SQUAREM (Varadhan &
     Roland 2008): an extrapolated point is kept only if its ISL is at most
