@@ -4,12 +4,11 @@ analytic unimodular families (Barker, Frank, Golomb, Chu, P4)."""
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
 
 from unipol.metrics import UnimodularSequence, as_values, spectrum_2n, unit_of
-from unipol.solver import RunTrace, SolverConfig, _check_int, _run_loop
+from unipol.solver import RunTrace, SolverConfig, _check_choice, _check_int, _run_loop
 
 __all__ = ["FAMILIES", "BARKER_CODES", "generate", "can_run"]
 
@@ -38,8 +37,7 @@ def generate(family: str, n: int) -> UnimodularSequence:
     The last three share the law pi*m*(m+s)/n with s = 1, n mod 2 and -n. Each
     integer numerator is reduced mod 2n (L for frank) first, so rounding does not grow with n.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    _check_choice("family", family, FAMILIES)
     n = _check_int("n", n, 1)
     m = np.arange(n)
 
@@ -66,12 +64,14 @@ def _can_step(x: UnimodularSequence) -> UnimodularSequence:
     return UnimodularSequence(unit_of(z, v))
 
 
-def can_run(cfg: SolverConfig, init: Optional[UnimodularSequence] = None) -> RunTrace:
+def can_run(cfg: SolverConfig) -> RunTrace:
     """Run the CAN baseline under the same config surface as the MM driver.
 
-    CAN alternates unit-modulus projections between the time and 2N-point
-    frequency domains. It optimizes a frequency-domain approximation of the
-    ISL, so its ISL trace carries no monotonicity guarantee. It always runs
-    plain: the trace's config says accel="none" whatever cfg.accel holds.
+    Like run, it starts from init_random(cfg.n, cfg.seed) and makes exactly
+    cfg.max_iterations map evaluations. CAN alternates unit-modulus
+    projections between the time and 2N-point frequency domains. It optimizes
+    a frequency-domain approximation of the ISL, so its ISL trace carries no
+    monotonicity guarantee. It always runs plain: the trace's config says
+    accel="none" whatever cfg.accel holds.
     """
-    return _run_loop(_can_step, replace(cfg, accel="none"), init)
+    return _run_loop(_can_step, replace(cfg, accel="none"))

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from unipol.baselines import can_run
-from unipol.solver import SolverConfig, _check_int, run
+from unipol.solver import SolverConfig, _check_choice, _check_int, run
 
 __all__ = ["BenchRow", "DEFAULT_LENGTHS", "run_bench", "rows_to_csv"]
 
@@ -36,7 +36,7 @@ class BenchRow:
 
     @property
     def per_iter_seconds(self) -> float:
-        return self.total_seconds / self.iterations if self.iterations else 0.0
+        return self.total_seconds / self.iterations
 
     def to_csv(self) -> str:
         return (
@@ -73,8 +73,7 @@ def run_bench(
     if not algos:
         raise ValueError("empty algorithm list")
     for algo in algos:
-        if algo not in _RUNNERS:
-            raise ValueError(f"unknown algorithm {algo!r}; choose from {sorted(_RUNNERS)}")
+        _check_choice("algorithm", algo, tuple(_RUNNERS))
     if not lengths:
         raise ValueError("empty length list")
     for n in lengths:

@@ -41,7 +41,9 @@ def _file_identity(path):
 def _check_outputs(*paths) -> None:
     """Before any work: a nameless or repeated path is a ValueError, an unwritable one an OSError.
 
-    Two paths repeat when they resolve to one name or, if they exist, to one inode.
+    Two paths repeat when they resolve to one name or, if they exist, to one
+    inode. design's derived R.seq.csv can only repeat R.json as a pre-existing
+    symlink or hard link, and this check is the one guard against that.
     """
     paths = [p for p in paths if p is not None]
     for path in paths:
@@ -79,10 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="squarem",
         help="outer scheme of --algo unipol; 'none' is the paper's plain MM (CAN always runs plain)",
     )
-    design.add_argument("-o", "--output", help="run record JSON path (default: stdout)")
     design.add_argument(
-        "--seq-out",
-        help="final-design sequence CSV path (default: derived from --output)",
+        "-o", "--output", help="run record JSON path; R.json also writes R.seq.csv (default: stdout)"
     )
     design.set_defaults(func=cmd_design)
 
@@ -120,9 +120,7 @@ def cmd_design(args) -> int:
         seed=args.seed,
         accel=args.accel,
     )
-    seq_path = args.seq_out
-    if seq_path is None and args.output is not None:
-        seq_path = os.path.splitext(args.output)[0] + ".seq.csv"
+    seq_path = None if args.output is None else os.path.splitext(args.output)[0] + ".seq.csv"
     _check_outputs(args.output, seq_path)
 
     trace = run(cfg) if args.algo == "unipol" else can_run(cfg)

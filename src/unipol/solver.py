@@ -14,7 +14,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -41,9 +41,9 @@ def _check_int(name: str, value, least: int) -> int:
 
 
 def _check_choice(name: str, value, choices: tuple) -> None:
-    """ValueError unless value is a str among choices (a numpy array never is)."""
+    """ValueError unless value is a str (np.str_ too) among choices; a list or array never is."""
     if not isinstance(value, str) or value not in choices:
-        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+        raise ValueError(f"unknown {name} {value!r}: {name} must be one of {choices}")
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ class SolverConfig:
 
     n and max_iterations are integers >= 1 and seed an integer >= 0; other
     values raise ValueError. Numpy integers are accepted and stored as plain
-    int. Every run makes exactly max_iterations map evaluations. Without an
-    init, the run starts from init_random(n, seed). accel picks the outer
+    int. The config alone fixes a run: it starts from init_random(n, seed)
+    and makes exactly max_iterations map evaluations. accel picks the outer
     scheme: "squarem" (the default) adds a squared extrapolation after every
     two MM steps, "none" runs the paper's plain MM; any other value, a
     non-string included, raises ValueError.
@@ -147,22 +147,18 @@ def _squarem(x0, x1, x2, isl2: float) -> UnimodularSequence:
 
 
 def _run_loop(
-    step: Callable[[UnimodularSequence], UnimodularSequence],
-    cfg: SolverConfig,
-    init: Optional[UnimodularSequence],
+    step: Callable[[UnimodularSequence], UnimodularSequence], cfg: SolverConfig
 ) -> RunTrace:
     """Shared iteration/trace loop for the MM driver and baselines.
 
-    Every run makes exactly max_iterations calls of step, each recording one ISL.
-    Under accel="squarem", each third call starts from the _squarem point of
-    the three iterates before it, whenever the budget has room for that call.
+    Every run starts from init_random(cfg.n, cfg.seed) and makes exactly
+    max_iterations calls of step, each recording one ISL. Under
+    accel="squarem", each third call starts from the _squarem point of the
+    three iterates before it, whenever the budget has room for that call.
     The bookkeeping is isl_freq on each iterate's spectrum, the same route as
     SQUAREM's checks, so it transforms nothing.
     """
-    x = init_random(cfg.n, cfg.seed) if init is None else UnimodularSequence(init)
-    if len(x) != cfg.n:
-        raise ValueError(f"init has length {len(x)}, config says {cfg.n}")
-
+    x = init_random(cfg.n, cfg.seed)
     isl = [isl_freq(x)]
     durations = []
     cycle = [x]  # the iterates x0, x1, x2 since the last extrapolation
@@ -184,8 +180,8 @@ def _run_loop(
     )
 
 
-def run(cfg: SolverConfig, init: Optional[UnimodularSequence] = None) -> RunTrace:
-    """Run the MM driver for exactly cfg.max_iterations map evaluations.
+def run(cfg: SolverConfig) -> RunTrace:
+    """Run the MM driver from init_random(cfg.n, cfg.seed) for cfg.max_iterations evaluations.
 
     cfg.accel="squarem" (the default) wraps the MM map in SQUAREM (Varadhan &
     Roland 2008): an extrapolated point is kept only if its ISL is at most
@@ -193,4 +189,4 @@ def run(cfg: SolverConfig, init: Optional[UnimodularSequence] = None) -> RunTrac
     trace is non-increasing up to floating-point slack. With a fixed seed the
     trace is bit-for-bit reproducible.
     """
-    return _run_loop(unipol_step, cfg, init)
+    return _run_loop(unipol_step, cfg)

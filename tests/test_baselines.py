@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from unipol.baselines import BARKER_CODES, _can_step, can_run, generate
+from unipol.bench import run_bench
 from unipol.metrics import UnimodularSequence, isl_time, merit_factor, psl
-from unipol.solver import SolverConfig, init_random
+from unipol.solver import SolverConfig
 
 
 def integer_lag_oracle(code):
@@ -108,6 +109,27 @@ class TestGenerate:
             generate("zadoff", 10)
 
     @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: generate(np.array(["barker"]), 13), "unknown family"),
+            (lambda: generate(np.array(["golomb"]), 13), "unknown family"),
+            (lambda: run_bench([["can"]], [8], 1, 1), "unknown algorithm"),
+            (lambda: run_bench([np.array(["can"])], [8], 1, 1), "unknown algorithm"),
+            (lambda: generate(np.str_("chu"), 16), None),
+            (lambda: run_bench(np.array(["can"]), [8], 1, 1), None),
+        ],
+        ids=["array-barker", "array-golomb", "list-algorithm", "array-algorithm",
+             "np-str-family", "np-str-algorithm"],
+    )
+    def test_string_choices_take_strings_only(self, call, match):
+        """A family or algorithm is a str (np.str_ too); a list or array of one is not."""
+        if match is None:
+            call()
+        else:
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    @pytest.mark.parametrize(
         "family,n", [("frank", 49), ("golomb", 100), ("chu", 100), ("p4", 100)]
     )
     def test_classical_beats_random(self, family, n):
@@ -143,15 +165,6 @@ class TestCanRun:
         trace = can_run(SolverConfig(n=20, max_iterations=25, seed=4))
         assert trace.iterations_run == 25
         assert trace.isl_per_iteration.shape == (26,)
-
-    def test_accepts_explicit_init(self):
-        x0 = init_random(40, 8)
-        trace = can_run(SolverConfig(n=40, max_iterations=10, seed=0), init=x0)
-        assert trace.isl_per_iteration[0] == pytest.approx(isl_time(x0), rel=1e-12)
-
-    def test_init_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            can_run(SolverConfig(n=10, max_iterations=5), init=init_random(11, 0))
 
     def test_subnormal_spectrum_bin_stays_finite(self):
         # the bin X_0 = -1e-320j is subnormal: it projects to 1, where dividing by

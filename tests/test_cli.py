@@ -191,10 +191,12 @@ class TestBlockWrite:
         write_run_record(path, record)
         assert path.read_text(encoding="utf-8") == json.dumps(record, indent=2) + "\n"
 
-    def test_design_stdout_is_the_record_text(self, capsys):
+    def test_design_stdout_is_the_record_text(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         assert main(["design", "-N", "70", "--iters", "3", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert out == run_record_text(json.loads(out))
+        assert list(tmp_path.iterdir()) == []  # without -o no sequence file is written
 
     def test_record_text_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -443,7 +445,7 @@ class TestDesignCommand:
         assert not out.exists()
 
     def test_unknown_flag_exits_2(self, tmp_path):
-        for flags in (["--bogus"], ["--tol", "1e-3"]):
+        for flags in (["--bogus"], ["--tol", "1e-3"], ["--seq-out", str(tmp_path / "x.csv")]):
             out = tmp_path / "run.json"
             with pytest.raises(SystemExit) as exc:
                 main(["design", "-N", "8", *flags, "-o", str(out)])
@@ -708,15 +710,10 @@ class TestOutputPathsCheckedFirst:
     def _design(self, *flags):
         return main(["design", "-N", "8", "--iters", "3", *flags])
 
-    @pytest.mark.parametrize("seq_out", ["", "/", "sub/"])
-    def test_seq_out_without_file_name(self, tmp_path, capsys, seq_out):
-        out = tmp_path / "r.json"
-        assert self._design("-o", str(out), "--seq-out", seq_out) == 2
+    def test_empty_record_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert self._design("-o", "") == 2
         assert "no file name" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    def test_empty_record_with_seq_out(self, tmp_path, capsys):
-        assert self._design("-o", "", "--seq-out", str(tmp_path / "x.csv")) == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_record_in_missing_directory(self, tmp_path, capsys):
@@ -724,15 +721,10 @@ class TestOutputPathsCheckedFirst:
         assert "no such directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_seq_out_in_missing_directory_without_record(self, tmp_path, capsys):
-        assert self._design("--seq-out", str(tmp_path / "missing" / "x.csv")) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "no such directory" in captured.err
-
-    def test_seq_out_names_a_directory(self, tmp_path, capsys):
+    def test_derived_sequence_path_is_a_directory(self, tmp_path, capsys):
         out = tmp_path / "r.json"
-        assert self._design("-o", str(out), "--seq-out", str(tmp_path)) == 1
+        (tmp_path / "r.seq.csv").mkdir()
+        assert self._design("-o", str(out)) == 1
         assert "is a directory" in capsys.readouterr().err
         assert not out.exists()
 
@@ -742,28 +734,26 @@ class TestOutputPathsCheckedFirst:
         assert rc == 1
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("seq_out", ["same.json", "./same.json", "sub/../same.json"])
-    def test_outputs_naming_the_same_file(self, tmp_path, monkeypatch, capsys, seq_out):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "sub").mkdir()
-        assert self._design("-o", "same.json", "--seq-out", seq_out) == 2
+    @pytest.mark.parametrize("record", ["existing", "dangling"])
+    def test_derived_sequence_path_linked_to_the_record(self, tmp_path, capsys, record):
+        out, seq = tmp_path / "r.json", tmp_path / "r.seq.csv"
+        if record == "existing":
+            out.write_text("keep\n")
+        seq.symlink_to(out)
+        assert self._design("-o", str(out)) == 2
         assert "same file" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["sub"]
-
-    def test_seq_out_linked_to_the_record(self, tmp_path, capsys):
-        (tmp_path / "link.csv").symlink_to(tmp_path / "r.json")
-        out = tmp_path / "r.json"
-        assert self._design("-o", str(out), "--seq-out", str(tmp_path / "link.csv")) == 2
-        assert "same file" in capsys.readouterr().err
-        assert not out.exists()
+        if record == "existing":
+            assert out.read_text() == seq.read_text() == "keep\n"
+        else:
+            assert not out.exists()
 
     @pytest.mark.parametrize("order", ["record first", "sequence first"])
-    def test_seq_out_hard_linked_to_the_record(self, tmp_path, capsys, order):
-        out, seq = tmp_path / "r.json", tmp_path / "h.csv"
+    def test_derived_sequence_path_hard_linked_to_the_record(self, tmp_path, capsys, order):
+        out, seq = tmp_path / "r.json", tmp_path / "r.seq.csv"
         first, second = (out, seq) if order == "record first" else (seq, out)
         first.write_text("keep\n")
         second.hardlink_to(first)
-        assert self._design("-o", str(out), "--seq-out", str(seq)) == 2
+        assert self._design("-o", str(out)) == 2
         assert "same file" in capsys.readouterr().err
         assert out.read_text() == seq.read_text() == "keep\n"
 

@@ -226,15 +226,6 @@ class TestRun:
         assert trace.iterations_run == cfg.max_iterations
         assert trace.isl_per_iteration.shape == (cfg.max_iterations + 1,)
 
-    def test_init_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            run(SolverConfig(n=10, max_iterations=5), init=init_random(9, 0))
-
-    def test_explicit_init_used(self):
-        x0 = init_random(30, 77)
-        trace = run(SolverConfig(n=30, max_iterations=3, seed=0), init=x0)
-        assert trace.isl_per_iteration[0] == pytest.approx(isl_time(x0), rel=1e-12)
-
     def test_n1_trace_all_zero(self):
         trace = run(SolverConfig(n=1, max_iterations=5, seed=1))
         assert np.array_equal(trace.isl_per_iteration, np.zeros(6))
@@ -247,7 +238,7 @@ class TestRun:
         for n in (16, 64, 128):
             cfg = SolverConfig(n=n, max_iterations=15, seed=n)
             fast = run(cfg)
-            direct = _run_loop(direct_step, cfg, None)
+            direct = _run_loop(direct_step, cfg)
             a, b = fast.isl_per_iteration, direct.isl_per_iteration
             assert np.max(np.abs(a - b) / np.maximum(1.0, a)) <= 1e-6
 
