@@ -12,20 +12,36 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from unipol import bench as bench_mod
 from unipol import io as io_mod
-from unipol.baselines import FAMILIES, can_run, generate
-from unipol.metrics import autocorrelation, isl_time, merit_factor, psl, sidelobe_db
-from unipol.solver import ACCELS, SolverConfig, run
+from unipol.baselines import FAMILIES, generate
+from unipol.metrics import _Lags
+from unipol.solver import ACCELS, SolverConfig
+
+# perfbench/spans.py patches these names here; the commands below do not call them
+from unipol.baselines import can_run  # noqa: F401
+from unipol.metrics import isl_time  # noqa: F401
+from unipol.solver import run  # noqa: F401
 
 __all__ = ["main"]
+
+# design --algo's choices, dispatched through the one table bench uses; the first is the default
+_ALGOS = tuple(bench_mod._RUNNERS)
+
+
+def decimal(text: str) -> int:
+    """An integer option: an ASCII decimal, as a sequence table cell must be.
+
+    Python's int would also take digit-group underscores and non-ASCII digits.
+    """
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not an ASCII decimal: {text!r}")
+    return int(text)
 
 
 def _parse_lengths(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [decimal(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"bad length list {text!r}") from None
 
@@ -66,15 +82,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     design = sub.add_parser("design", help="run a sidelobe-minimization solver")
-    design.add_argument("--algo", choices=("unipol", "can"), default="unipol")
-    design.add_argument("-N", "--length", dest="n", type=int, required=True)
+    design.add_argument("--algo", choices=_ALGOS, default=_ALGOS[0])
+    design.add_argument("-N", "--length", dest="n", type=decimal, required=True)
     design.add_argument(
         "--iters",
-        type=int,
+        type=decimal,
         default=1000,
         help="map evaluations; every run makes exactly this many",
     )
-    design.add_argument("--seed", type=int, default=0)
+    design.add_argument("--seed", type=decimal, default=0)
     design.add_argument(
         "--accel",
         choices=ACCELS,
@@ -93,20 +109,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="emit a classical sequence")
     gen.add_argument("--family", choices=FAMILIES, required=True)
-    gen.add_argument("-N", "--length", dest="n", type=int, required=True)
+    gen.add_argument("-N", "--length", dest="n", type=decimal, required=True)
     gen.add_argument("-o", "--output", help="sequence CSV path (default: stdout)")
     gen.set_defaults(func=cmd_generate)
 
     bench = sub.add_parser("bench", help="run the seeded benchmark matrix")
-    bench.add_argument("--algos", default="unipol", help="comma list from {unipol,can}")
+    bench.add_argument("--algos", default=_ALGOS[0], help=f"comma list from {{{','.join(_ALGOS)}}}")
     bench.add_argument(
         "--lengths",
         default=",".join(str(n) for n in bench_mod.DEFAULT_LENGTHS),
         help="comma list of sequence lengths",
     )
-    bench.add_argument("--runs", type=int, default=30)
-    bench.add_argument("--iters", type=int, default=1000)
-    bench.add_argument("--seed", type=int, default=0, help="base seed; trial i uses seed+i")
+    bench.add_argument("--runs", type=decimal, default=30)
+    bench.add_argument("--iters", type=decimal, default=1000)
+    bench.add_argument("--seed", type=decimal, default=0, help="base seed; trial i uses seed+i")
     bench.add_argument("-o", "--output", help="CSV path (default: stdout)")
     bench.set_defaults(func=cmd_bench)
 
@@ -123,7 +139,7 @@ def cmd_design(args) -> int:
     seq_path = None if args.output is None else os.path.splitext(args.output)[0] + ".seq.csv"
     _check_outputs(args.output, seq_path)
 
-    trace = run(cfg) if args.algo == "unipol" else can_run(cfg)
+    trace = bench_mod._RUNNERS[args.algo](cfg)
     record = io_mod.run_record_dict(args.algo, trace)
 
     if seq_path is not None:
@@ -142,10 +158,11 @@ def cmd_design(args) -> int:
 
 def cmd_metrics(args) -> int:
     seq = io_mod.read_sequence_file(args.input)
-    isl = isl_time(seq)
-    peak = psl(seq)
-    mf = merit_factor(seq) if len(seq) >= 2 else None
-    db = sidelobe_db(seq)
+    lags = _Lags(seq)
+    isl = lags.isl
+    peak = lags.psl
+    mf = lags.merit_factor if len(seq) >= 2 else None
+    db = lags.db
 
     if args.json:
         report = {
@@ -164,8 +181,7 @@ def cmd_metrics(args) -> int:
     print(f"PSL:          {peak:.12g}")
     print(f"merit factor: {'undefined' if mf is None else format(mf, '.12g')}")
     print("lag  |r_k|          20log10(|r_k|/N)")
-    mags = np.abs(autocorrelation(seq))
-    for k, (mag, level) in enumerate(zip(mags, db)):
+    for k, (mag, level) in enumerate(zip(lags.mags, db)):
         print(f"{k:<4d} {mag:<14.6g} {level:.6g}")
     return 0
 

@@ -24,7 +24,14 @@ finalIsl is the last islTrace entry, the Parseval value (isl_freq); ``unipol
 metrics`` reads the lag route (isl_time), and acceptance criterion 1 bounds
 the gap between the two at 1e-10 relative.
 meritFactor is null only for N = 1, where it is undefined. For N >= 2 it is finite: a unimodular
-sequence has |r_{N-1}| = |x_{N-1}| * |x_0| = 1, so ISL >= 1.
+sequence has |r_{N-1}| = |x_{N-1}| * |x_0| = 1, so ISL >= 1. finalPsl and
+meritFactor are read from one autocorrelation of the final sequence.
+
+A record renders as exactly ``json.dumps(record, indent=2) + "\n"``, built
+from json's C encoder (see run_record_text). It takes string keys with JSON
+scalars or flat lists of numbers as values, which is every run record; NaN
+or infinity anywhere, a dict value or a list holding a string or a container
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from unipol.metrics import UnimodularSequence, merit_factor, psl
+from unipol.metrics import UnimodularSequence, _Lags
+from unipol.metrics import merit_factor, psl  # noqa: F401  perfbench/spans.py patches both here
 from unipol.solver import RunTrace
 
 __all__ = [
@@ -64,8 +72,13 @@ class SequenceFileError(ValueError):
 
 
 def sequence_file_text(seq: Union[UnimodularSequence, np.ndarray]) -> str:
-    """Render one sequence as the CSV phase table, _BLOCK rows per format call."""
-    phases = UnimodularSequence(seq).phases.tolist()
+    """Render one sequence as the CSV phase table, _BLOCK rows per format call.
+
+    A UnimodularSequence is used as given; an array is checked by building one.
+    """
+    if not isinstance(seq, UnimodularSequence):
+        seq = UnimodularSequence(seq)
+    phases = seq.phases.tolist()
     chunks = [_HEADER + "\n"]
     for start in range(0, len(phases), _BLOCK):
         theta = phases[start : start + _BLOCK]
@@ -183,6 +196,7 @@ def run_record_dict(algorithm: str, trace: RunTrace) -> dict:
     """Assemble the JSON-ready run record for a finished trace."""
     cfg = trace.config
     final = trace.final_sequence
+    lags = _Lags(final)
     return {
         "algorithm": algorithm,
         "N": cfg.n,
@@ -193,14 +207,33 @@ def run_record_dict(algorithm: str, trace: RunTrace) -> dict:
         "timeTraceSeconds": trace.cumulative_seconds.tolist(),
         "finalPhases": final.phases.tolist(),
         "finalIsl": float(trace.isl_per_iteration[-1]),
-        "finalPsl": float(psl(final)),
-        "meritFactor": merit_factor(final) if cfg.n >= 2 else None,
+        "finalPsl": lags.psl,
+        "meritFactor": lags.merit_factor if cfg.n >= 2 else None,
     }
 
 
 def run_record_text(record: dict) -> str:
-    """Render a run record as indented JSON; NaN or infinity raises ValueError."""
-    return json.dumps(record, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(record, indent=2) + "\n"`` through json's C encoder, which indent turns off.
+
+    Each value is ``json.dumps(value, allow_nan=False)``; a non-empty list is
+    then split at its ``", "`` separators onto lines of its own, exact only
+    for items that cannot hold that text: numbers, bools and None. Raises
+    ValueError for NaN or infinity, a non-string key, a dict value, or a list
+    holding a string or a container.
+    """
+    fields = []
+    for key, value in record.items():
+        if not isinstance(key, str) or isinstance(value, dict):
+            raise ValueError(f"run record field {key!r} is not a string key with a flat value")
+        text = json.dumps(value, allow_nan=False)
+        if isinstance(value, (list, tuple)) and text != "[]":
+            if '"' in text or "{" in text or text.count("[") > 1:
+                raise ValueError(f"run record list {key!r} holds more than numbers")
+            text = "[\n    " + text[1:-1].replace(", ", ",\n    ") + "\n  ]"
+        fields.append(f"  {json.dumps(key)}: {text}")
+    if not fields:
+        return "{}\n"
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def write_run_record(path, record: dict) -> None:

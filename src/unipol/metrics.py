@@ -17,7 +17,10 @@ isl_quartic), reads that one read-only copy, which the frozen values keep
 current. An array argument gets a fresh, writable spectrum each call. The
 lag-domain metrics (isl_time, psl, merit_factor, sidelobe_db) each compute
 their own autocorrelation: for N > 64 that is one inverse FFT of the kept
-spectrum.
+spectrum. A report that needs several of them (a run record, ``unipol
+metrics``) takes one autocorrelation through the private _Lags and reads
+each figure from it; the public functions are the same expressions over it,
+so both routes give the same bits.
 """
 
 from __future__ import annotations
@@ -137,10 +140,39 @@ def autocorrelation(x) -> np.ndarray:
     return np.fft.ifft(spec * np.conj(spec))[:n]
 
 
+class _Lags:
+    """One autocorrelation of x and the sidelobe figures read from it, each on first use."""
+
+    def __init__(self, x):
+        self.n = as_values(x).size
+        self.mags = np.abs(autocorrelation(x))  # |r_k| for k = 0..N-1
+
+    @property
+    def isl(self) -> float:
+        return float(np.sum(self.mags[1:] ** 2))
+
+    @property
+    def psl(self) -> float:
+        return float(np.max(self.mags[1:], initial=0.0))
+
+    @property
+    def merit_factor(self) -> float:
+        if self.n < 2:
+            raise ValueError("merit factor is undefined for length-1 sequences")
+        isl = self.isl
+        if isl == 0.0:
+            return math.inf
+        return self.n * self.n / (2.0 * isl)
+
+    @property
+    def db(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return 20.0 * np.log10(self.mags / self.n)
+
+
 def isl_time(x) -> float:
     """Integrated sidelobe level sum_{k>=1} |r_k|^2 from the lag-domain autocorrelation."""
-    r = autocorrelation(x)
-    return float(np.sum(np.abs(r[1:]) ** 2))
+    return _Lags(x).isl
 
 
 def isl_freq(x) -> float:
@@ -167,8 +199,7 @@ def isl_quartic(x) -> float:
 
 def psl(x) -> float:
     """Peak sidelobe level max_{k>=1} |r_k| (0.0 for N = 1: no sidelobes)."""
-    r = autocorrelation(x)
-    return float(np.max(np.abs(r[1:]), initial=0.0))
+    return _Lags(x).psl
 
 
 def merit_factor(x) -> float:
@@ -176,14 +207,7 @@ def merit_factor(x) -> float:
 
     Raises ValueError for N = 1 where the quantity is undefined.
     """
-    v = as_values(x)
-    n = v.size
-    if n < 2:
-        raise ValueError("merit factor is undefined for length-1 sequences")
-    isl = isl_time(x)
-    if isl == 0.0:
-        return math.inf
-    return n * n / (2.0 * isl)
+    return _Lags(x).merit_factor
 
 
 def spectrum_2n(x) -> np.ndarray:
@@ -206,7 +230,4 @@ def sidelobe_db(x) -> np.ndarray:
 
     Lags with exactly zero correlation map to -inf.
     """
-    v = as_values(x)
-    mags = np.abs(autocorrelation(x)) / v.size
-    with np.errstate(divide="ignore"):
-        return 20.0 * np.log10(mags)
+    return _Lags(x).db

@@ -14,6 +14,7 @@ import pytest
 from unipol import bench as bench_mod
 from unipol import cli
 from unipol import io as io_mod
+from unipol import metrics as metrics_mod
 from unipol.baselines import can_run, generate
 from unipol.bench import run_bench
 from unipol.cli import main
@@ -27,7 +28,14 @@ from unipol.io import (
     write_run_record,
     write_sequence_file,
 )
-from unipol.metrics import UnimodularSequence, isl_time, merit_factor, psl
+from unipol.metrics import (
+    UnimodularSequence,
+    autocorrelation,
+    isl_time,
+    merit_factor,
+    psl,
+    sidelobe_db,
+)
 from unipol.solver import SolverConfig, init_random, run
 
 
@@ -217,6 +225,58 @@ class TestBlockWrite:
         with pytest.raises(ValueError):
             write_run_record(path, {"a": math.nan})
         assert path.read_bytes() == before
+
+    def test_sequence_text_of_a_sequence_equals_that_of_its_values(self):
+        seq = init_random(BLOCK + 3, 8)
+        assert sequence_file_text(seq) == sequence_file_text(seq.values)
+
+
+class TestRecordText:
+    """run_record_text is json.dumps(record, indent=2) + "\\n" through the C encoder."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "place", [lambda v: {"a": v}, lambda v: {"a": 1, "b": [0.5, v]}, lambda v: {"b": [v]}]
+    )
+    def test_non_finite_anywhere_raises(self, bad, place):
+        with pytest.raises(ValueError):
+            run_record_text(place(bad))
+
+    @pytest.mark.parametrize(
+        "record",
+        [{"a": [1.0, "x"]}, {"a": ["1, 2"]}, {"a": [1.0, [2.0]]}, {"a": [[]]},
+         {"a": [{"b": 1}]}, {"a": {"b": 1}}, {"a": {}}, {1: 2.0}],
+        ids=["string", "string-with-separator", "list", "empty-list", "dict", "dict-value",
+             "empty-dict-value", "int-key"],
+    )
+    def test_refused_shapes_raise_and_keep_the_old_file(self, tmp_path, record):
+        path = tmp_path / "run.json"
+        write_run_record(path, {"a": [1.0, 2.0]})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_run_record(path, record)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "record",
+        [{}, {"a": []}, {"a": [0.1]}, {"a": [1, 2.5, True, None, -0.0, 1e300]},
+         {"s": "a, b [c] {d} \"e\"", "t": (1.0, 2.0), "u": "\u00e9\n"}],
+    )
+    def test_edge_records(self, record):
+        assert run_record_text(record) == json.dumps(record, indent=2) + "\n"
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 16384])
+    def test_psl_and_merit_factor_read_from_one_autocorrelation(self, n, monkeypatch):
+        trace = run(SolverConfig(n=n, max_iterations=1, seed=n))
+        final = trace.final_sequence
+        calls = []
+        counted = metrics_mod.autocorrelation
+        monkeypatch.setattr(metrics_mod, "autocorrelation", lambda x: calls.append(1) or counted(x))
+        record = run_record_dict("unipol", trace)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert record["finalPsl"] == psl(final)
+        assert record["meritFactor"] == (merit_factor(final) if n >= 2 else None)
 
 
 class TestBlockReadErrors:
@@ -452,10 +512,42 @@ class TestDesignCommand:
             assert exc.value.code == 2
             assert list(tmp_path.iterdir()) == []
 
+    def test_unknown_algo_exits_2(self, tmp_path):
+        out = tmp_path / "run.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "-N", "10", "--algo", "foo", "-o", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo", list(bench_mod._RUNNERS))
+    def test_algo_dispatches_through_the_bench_table(self, tmp_path, monkeypatch, algo):
+        calls = []
+        runner = bench_mod._RUNNERS[algo]
+        monkeypatch.setitem(bench_mod._RUNNERS, algo, lambda cfg: calls.append(cfg) or runner(cfg))
+        out = tmp_path / "r.json"
+        assert main(["design", "--algo", algo, "-N", "8", "--iters", "2", "-o", str(out)]) == 0
+        assert [cfg.n for cfg in calls] == [8]
+        assert cli._ALGOS == tuple(bench_mod._RUNNERS)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["-N", "1_0"], ["-N", "\uff11\uff10"], ["-N", "8", "--iters", "1_0"],
+         ["-N", "8", "--seed", "1_0"], ["-N", "8", "--seed", "\u0661"]],
+        ids=["N-underscore", "N-full-width", "iters-underscore", "seed-underscore", "seed-arabic-indic"],
+    )
+    def test_non_ascii_decimal_integer_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "u.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["design", *flags, "-o", str(out)])
+        assert exc.value.code == 2
+        assert "invalid decimal value" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("output", ["", ".", "/"])
     def test_output_without_file_name_usage_error(self, monkeypatch, capsys, output):
         calls = []
-        monkeypatch.setattr(cli, "run", lambda *args: calls.append(args))
+        for algo in bench_mod._RUNNERS:
+            monkeypatch.setitem(bench_mod._RUNNERS, algo, lambda *args: calls.append(args))
         rc = main(["design", "-N", "8", "--iters", "3", "-o", output])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
@@ -478,6 +570,37 @@ class TestMetricsCommand:
         monkeypatch.setattr(np.fft, "fft", counted)
         assert main(["metrics", str(path), *flags]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["table", "json"])
+    def test_one_autocorrelation_per_file(self, tmp_path, capsys, monkeypatch, flags):
+        path = tmp_path / "chu.csv"
+        write_sequence_file(path, generate("chu", 100))
+        calls = []
+        counted = metrics_mod.autocorrelation
+        monkeypatch.setattr(metrics_mod, "autocorrelation", lambda x: calls.append(1) or counted(x))
+        assert main(["metrics", str(path), *flags]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: generate("barker", 13), lambda: generate("chu", 64), lambda: init_random(1000, 9)],
+        ids=["barker13", "chu64", "random1000"],
+    )
+    def test_report_bytes_match_the_public_metrics(self, tmp_path, capsys, make):
+        path = tmp_path / "seq.csv"
+        write_sequence_file(path, make())
+        seq = read_sequence_file(path)
+        isl, peak, mf, db = isl_time(seq), psl(seq), merit_factor(seq), sidelobe_db(seq)
+        report = {"N": len(seq), "isl": isl, "psl": peak, "meritFactor": mf,
+                  "sidelobeDb": [None if not math.isfinite(v) else float(v) for v in db]}
+        assert main(["metrics", str(path), "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+        table = [f"N:            {len(seq)}", f"ISL:          {isl:.12g}", f"PSL:          {peak:.12g}",
+                 f"merit factor: {mf:.12g}", "lag  |r_k|          20log10(|r_k|/N)"]
+        table += [f"{k:<4d} {mag:<14.6g} {level:.6g}"
+                  for k, (mag, level) in enumerate(zip(np.abs(autocorrelation(seq)), db))]
+        assert main(["metrics", str(path)]) == 0
+        assert capsys.readouterr().out == "\n".join(table) + "\n"
 
     def test_barker13_report(self, tmp_path, capsys):
         path = tmp_path / "b13.csv"
@@ -614,6 +737,21 @@ class TestBenchCommand:
         rc = main(["bench", "--lengths", "1,50", "--runs", "2", "--iters", "5"])
         assert rc == 2
 
+    @pytest.mark.parametrize("lengths", ["1_000", "16,\uff11\uff16"])
+    def test_non_ascii_decimal_length_usage_error(self, capsys, lengths):
+        rc = main(["bench", "--lengths", lengths, "--runs", "1", "--iters", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "bad length list" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--runs", "--iters", "--seed"])
+    def test_non_ascii_decimal_integer_exits_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--lengths", "16", flag, "1_0"])
+        assert exc.value.code == 2
+        assert "invalid decimal value" in capsys.readouterr().err
+
     def test_bad_runs_usage_error(self, capsys):
         rc = main(["bench", "--lengths", "50", "--runs", "0", "--iters", "5"])
         assert rc == 2
@@ -703,8 +841,8 @@ class TestOutputPathsCheckedFirst:
         def fail(*args, **kwargs):
             raise AssertionError("work started before the output paths were checked")
 
-        for name in ("run", "can_run"):
-            monkeypatch.setattr(cli, name, fail)
+        for algo in bench_mod._RUNNERS:
+            monkeypatch.setitem(bench_mod._RUNNERS, algo, fail)
         monkeypatch.setattr(cli.bench_mod, "run_bench", fail)
 
     def _design(self, *flags):

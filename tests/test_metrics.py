@@ -240,8 +240,21 @@ class TestPslMeritFactor:
         # ISL = 0 is unreachable for N >= 2; force it to exercise the sentinel
         import unipol.metrics as metrics
 
-        monkeypatch.setattr(metrics, "isl_time", lambda x: 0.0)
+        monkeypatch.setattr(metrics._Lags, "isl", 0.0)
         assert metrics.merit_factor([1, -1]) == np.inf
+
+    @pytest.mark.parametrize("n", [1, 2, 13, 64, 65, 1000])
+    def test_figures_keep_their_lag_expressions(self, n):
+        # the one-autocorrelation helper must give the bits each metric gave on its own
+        x = init_random(n, n)
+        r = autocorrelation(x)
+        isl = float(np.sum(np.abs(r[1:]) ** 2))
+        assert isl_time(x) == isl
+        assert psl(x) == float(np.max(np.abs(r[1:]), initial=0.0))
+        if n >= 2:
+            assert merit_factor(x) == n * n / (2.0 * isl)
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(sidelobe_db(x), 20.0 * np.log10(np.abs(r) / n))
 
 
 class TestSpectrum:

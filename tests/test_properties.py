@@ -1,8 +1,10 @@
 """Derandomized hypothesis properties of the surrogate, the exact minimizer,
-the MM step, the accelerated run and the sequence-file reader."""
+the MM step, the accelerated run, the sequence-file reader and the run-record
+renderer."""
 
 import contextlib
 import io
+import json
 import math
 from unittest import mock
 
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import unipol.quartic as quartic
 from unipol.cli import main
-from unipol.io import SequenceFileError, read_sequence_file
+from unipol.io import SequenceFileError, read_sequence_file, run_record_text
 from unipol.metrics import UnimodularSequence, isl_time
 from unipol.quartic import minimize_batch
 from unipol.solver import SolverConfig, run, unipol_step
@@ -154,3 +156,14 @@ def test_accelerated_run_descends_on_the_unit_circle(n, seed, budget):
     # criterion 3's slack
     assert np.all(isl[1:] <= isl[:-1] * (1 + 1e-9) + 1e-9)
     assert np.max(np.abs(np.abs(trace.final_sequence.values) - 1.0)) <= 1e-12
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+record_values = (finite | st.integers() | st.booleans() | st.none() | st.text()
+                 | st.lists(finite, max_size=8))
+
+
+@PROPERTY
+@given(record=st.dictionaries(st.text(), record_values, max_size=8))
+def test_run_record_text_is_json_indent_2(record):
+    assert run_record_text(record) == json.dumps(record, indent=2) + "\n"
